@@ -61,7 +61,6 @@ from .metrics import (
     log_negativity_fock,
     log_negativity_gaussian,
     symplectic_eigenvalues,
-    uhlmann_fidelity,
 )
 from .moments import (
     CovarianceState,
@@ -107,7 +106,7 @@ __all__ = [
     "FiberSpec", "transmittance", "loss_kraus_operators", "apply_loss",
     "post_loss_pulse_state",
     # metrics
-    "Fidelity", "LogNegativity", "fidelity_pure_target", "uhlmann_fidelity",
+    "Fidelity", "LogNegativity", "fidelity_pure_target",
     "log_negativity_fock", "log_negativity_gaussian", "effective_squeezing",
     "closed_form_log_negativity", "symplectic_eigenvalues",
     # moments

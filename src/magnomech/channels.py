@@ -23,10 +23,6 @@ import numpy as np
 
 from . import fock
 
-# group index of standard single-mode fiber, for transit-time metadata only
-FIBER_GROUP_INDEX = 1.468
-SPEED_OF_LIGHT = 299792458.0
-
 LOSS_METHODS = ("kraus", "ancilla")
 
 
@@ -39,21 +35,14 @@ class FiberSpec:
     extra_loss_db: float = 0.0
 
     def __post_init__(self):
-        if self.length_km < 0.0:
-            raise ValueError("length_km must be >= 0")
-        if self.attenuation_db_per_km < 0.0:
-            raise ValueError("attenuation_db_per_km must be >= 0")
-        if self.extra_loss_db < 0.0:
-            raise ValueError("extra_loss_db must be >= 0")
+        for name in ("length_km", "attenuation_db_per_km", "extra_loss_db"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v) or v < 0.0:
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
     @property
     def total_loss_db(self) -> float:
         return self.length_km * self.attenuation_db_per_km + self.extra_loss_db
-
-    @property
-    def transit_time_s(self) -> float:
-        """One-way propagation delay; metadata only, never applied to states."""
-        return self.length_km * 1e3 * FIBER_GROUP_INDEX / SPEED_OF_LIGHT
 
 
 def transmittance(fiber: FiberSpec) -> float:

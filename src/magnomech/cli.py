@@ -23,11 +23,12 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import sys
 
-from . import __version__, channels, fock, propagators, protocol
+from . import __version__, fock, protocol
 from .moments import validate_adiabatic
 
 TWO_PI = 2.0 * math.pi
@@ -57,7 +58,10 @@ def _boolean(raw: str) -> bool:
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 # every recognized config key with its parser; anything else is rejected
@@ -153,70 +157,75 @@ def parse_state_token(token: str) -> protocol.InitialState:
     raise ConfigError(f"unknown state token {token!r}")
 
 
-def _initial_states(cfg: dict) -> tuple[protocol.InitialState, ...]:
-    raw = cfg.get("initial_states")
-    if raw is None:
-        return (protocol.InitialState.fock(1),)
-    tokens = [tok for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ConfigError("initial_states is empty")
-    return tuple(parse_state_token(tok) for tok in tokens)
+# config key of each settable field, by scenario part; the TM and cavity
+# linewidth keys set both the node and its pulse, so a pulse follows its node
+_PART_KEYS = {
+    "magnonic": {
+        "te_mode_freq": "te_mode_freq_over_2pi_hz",
+        "tm_mode_freq": "tm_mode_freq_over_2pi_hz",
+        "magnon_freq": "magnon_freq_over_2pi_hz",
+        "te_linewidth": "te_linewidth_over_2pi_hz",
+        "tm_linewidth": "tm_linewidth_over_2pi_hz",
+        "magnon_linewidth": "magnon_linewidth_over_2pi_hz",
+    },
+    "mechanical": {
+        "cavity_freq": "cavity_freq_over_2pi_hz",
+        "mech_freq": "mech_freq_over_2pi_hz",
+        "cavity_linewidth": "cavity_linewidth_over_2pi_hz",
+        "mech_damping": "mech_damping_over_2pi_hz",
+    },
+    "magnon_pulse": {
+        "coupling": "magnon_pulse_coupling_over_2pi_hz",
+        "cavity_linewidth": "tm_linewidth_over_2pi_hz",
+        "duration": "magnon_pulse_duration_s",
+    },
+    "mech_pulse": {
+        "coupling": "mech_pulse_coupling_over_2pi_hz",
+        "cavity_linewidth": "cavity_linewidth_over_2pi_hz",
+        "duration": "mech_pulse_duration_s",
+    },
+    "fiber": {
+        "length_km": "fiber_length_km",
+        "attenuation_db_per_km": "fiber_attenuation_db_per_km",
+        "extra_loss_db": "fiber_extra_loss_db",
+    },
+}
+# scenario options whose config key is the field name
+_OPTION_KEYS = ("truncation", "include_loss_in_entanglement",
+                "phonon_thermal_occupation", "leak_budget")
+
+
+def _overlay(spec, cfg: dict, keys: dict):
+    """``spec`` with each field whose config key is set taken from cfg."""
+    return dataclasses.replace(
+        spec, **{f: cfg[k] for f, k in keys.items() if k in cfg})
+
+
+def _default_scenario(entangling: bool) -> protocol.ScenarioConfig:
+    return protocol.default_entanglement_scenario() if entangling \
+        else protocol.default_transfer_scenario()
 
 
 def build_scenario(cfg: dict, *, entangling: bool = False,
                    truncation: int | None = None) -> protocol.ScenarioConfig:
     """Scenario from config values over the reference operating point."""
-    magnonic = protocol.MagnonicNodeSpec(
-        te_mode_freq=cfg.get("te_mode_freq_over_2pi_hz", TWO_PI * 193.400e12),
-        tm_mode_freq=cfg.get("tm_mode_freq_over_2pi_hz", TWO_PI * 193.407e12),
-        magnon_freq=cfg.get("magnon_freq_over_2pi_hz", TWO_PI * 7.0e9),
-        te_linewidth=cfg.get("te_linewidth_over_2pi_hz", TWO_PI * 500e6),
-        tm_linewidth=cfg.get("tm_linewidth_over_2pi_hz", TWO_PI * 500e6),
-        magnon_linewidth=cfg.get("magnon_linewidth_over_2pi_hz", TWO_PI * 1.0e6),
-    )
-    mech_freq = cfg.get("mech_freq_over_2pi_hz", TWO_PI * 5.3e9)
-    mechanical = protocol.MechanicalNodeSpec(
-        cavity_freq=cfg.get("cavity_freq_over_2pi_hz", TWO_PI * 193.407e12),
-        mech_freq=mech_freq,
-        cavity_linewidth=cfg.get("cavity_linewidth_over_2pi_hz", TWO_PI * 1.3e9),
-        mech_damping=cfg.get("mech_damping_over_2pi_hz", TWO_PI * 4.8e3),
-        drive_detuning=cfg.get("mech_detuning_over_2pi_hz", mech_freq),
-    )
-    default_duration = 30e-9 if entangling else 40e-9
-    magnon_pulse = propagators.PulseSpec(
-        coupling=cfg.get("magnon_pulse_coupling_over_2pi_hz", TWO_PI * 10e6),
-        cavity_linewidth=magnonic.tm_linewidth,
-        duration=cfg.get("magnon_pulse_duration_s", default_duration),
-    )
-    mech_pulse = propagators.PulseSpec(
-        coupling=cfg.get("mech_pulse_coupling_over_2pi_hz", TWO_PI * 50e6),
-        cavity_linewidth=mechanical.cavity_linewidth,
-        duration=cfg.get("mech_pulse_duration_s", 55e-9),
-    )
-    fiber = channels.FiberSpec(
-        length_km=cfg.get("fiber_length_km", 1.0),
-        attenuation_db_per_km=cfg.get("fiber_attenuation_db_per_km", 0.2),
-        extra_loss_db=cfg.get("fiber_extra_loss_db", 0.0),
-    )
-    if truncation is None:
-        truncation = cfg.get(
-            "truncation",
-            protocol.DEFAULT_SQUEEZE_TRUNCATION if entangling
-            else protocol.DEFAULT_TRANSFER_TRUNCATION)
+    base = _default_scenario(entangling)
+    fields = {part: _overlay(getattr(base, part), cfg, keys)
+              for part, keys in _PART_KEYS.items()}
+    # an unset detuning keeps the drive on the configured red sideband
+    mechanical = fields["mechanical"]
+    fields["mechanical"] = dataclasses.replace(mechanical, drive_detuning=cfg.get(
+        "mech_detuning_over_2pi_hz", mechanical.mech_freq))
+    if "initial_states" in cfg:
+        tokens = [tok for tok in cfg["initial_states"].split(",") if tok.strip()]
+        if not tokens:
+            raise ConfigError("initial_states is empty")
+        fields["initial_states"] = tuple(parse_state_token(t) for t in tokens)
+    fields.update((k, cfg[k]) for k in _OPTION_KEYS if k in cfg)
+    if truncation is not None:
+        fields["truncation"] = truncation
     try:
-        return protocol.ScenarioConfig(
-            magnonic=magnonic,
-            mechanical=mechanical,
-            magnon_pulse=magnon_pulse,
-            mech_pulse=mech_pulse,
-            fiber=fiber,
-            truncation=truncation,
-            initial_states=_initial_states(cfg),
-            include_loss_in_entanglement=cfg.get("include_loss_in_entanglement",
-                                                 False),
-            phonon_thermal_occupation=cfg.get("phonon_thermal_occupation", 0.0),
-            leak_budget=cfg.get("leak_budget"),
-        )
+        return dataclasses.replace(base, **fields)
     except protocol.ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -328,12 +337,8 @@ def cmd_qle(args) -> int:
         raise ConfigError(f"qle_process must be one of {QLE_PROCESSES}, "
                           f"got {process!r}")
     ratios = cfg.get("qle_coupling_ratios", DEFAULT_QLE_RATIOS)
-    default_duration = 30e-9 if process == "stokes" else 40e-9
-    pulse = propagators.PulseSpec(
-        coupling=cfg.get("magnon_pulse_coupling_over_2pi_hz", TWO_PI * 10e6),
-        cavity_linewidth=cfg.get("tm_linewidth_over_2pi_hz", TWO_PI * 500e6),
-        duration=cfg.get("magnon_pulse_duration_s", default_duration),
-    )
+    pulse = _overlay(_default_scenario(process == "stokes").magnon_pulse,
+                     cfg, _PART_KEYS["magnon_pulse"])
     rows = validate_adiabatic(pulse.cavity_linewidth, pulse.pulse_area, ratios,
                               process=process,
                               matter_linewidth=cfg.get(

@@ -3,7 +3,7 @@
 Fidelity against a pure target ket is the plain overlap <phi|rho|phi>,
 well defined also for the subnormalized branch states the transfer
 pipeline reports (there it reads as the success probability of a perfect
-transfer).  Uhlmann fidelity is provided for completeness.
+transfer).
 
 Logarithmic negativity E_N = ln || rho^(T_B) ||_1 (natural log, clamped at
 zero) comes in a Fock-basis route via partial transposition and a Gaussian
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fock
 
-FIDELITY_DEFINITIONS = ("pure_target_overlap", "uhlmann")
+FIDELITY_DEFINITIONS = ("pure_target_overlap",)
 NEGATIVITY_METHODS = ("fock_ppt", "gaussian_symplectic", "closed_form")
 
 
@@ -43,23 +43,6 @@ def fidelity_pure_target(target: fock.FockKet, rho: fock.FockDensityMatrix) -> F
     v = target.amplitudes
     val = float(np.real(v.conj() @ rho.matrix @ v))
     return Fidelity(value=max(0.0, val), definition="pure_target_overlap")
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def uhlmann_fidelity(rho: fock.FockDensityMatrix,
-                     sigma: fock.FockDensityMatrix) -> Fidelity:
-    """(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    if rho.dims.dims != sigma.dims.dims:
-        raise ValueError("state dimensions differ")
-    sq = _psd_sqrt(rho.matrix)
-    inner = sq @ sigma.matrix @ sq
-    w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return Fidelity(value=float(np.sqrt(w).sum() ** 2), definition="uhlmann")
 
 
 def log_negativity_fock(rho: fock.FockDensityMatrix,

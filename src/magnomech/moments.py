@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.constants import hbar
 
 from .metrics import symplectic_form
 
@@ -118,59 +117,6 @@ class DriftDiffusion:
     @property
     def is_static(self) -> bool:
         return not (callable(self.drift) or callable(self.diffusion))
-
-
-@dataclass(frozen=True)
-class DriveSpec:
-    """External drive tone: power, frequency, external coupling, detuning.
-
-    power_w in watts; frequency, external_linewidth, detuning in rad/s.
-    ``detuning`` is the effective cavity-drive detuning seen by the
-    fluctuations.
-    """
-
-    power_w: float
-    frequency: float
-    external_linewidth: float
-    detuning: float = 0.0
-
-    def __post_init__(self):
-        if self.power_w < 0.0:
-            raise ValueError("power_w must be >= 0")
-        if self.frequency <= 0.0:
-            raise ValueError("frequency must be > 0")
-        if self.external_linewidth <= 0.0:
-            raise ValueError("external_linewidth must be > 0")
-
-
-@dataclass(frozen=True)
-class IntracavityDrive:
-    """Pump rate and resulting steady-state intracavity amplitude."""
-
-    pump_rate: float
-    amplitude: complex
-
-
-def drive_amplitude(drive: DriveSpec, total_linewidth: float) -> IntracavityDrive:
-    """Pump rate E = sqrt(P * kappa_ext / (hbar * omega)) and <a>_ss.
-
-    The steady-state amplitude is E / (kappa/2 + i * detuning); on
-    resonance this is the familiar 2 E / kappa, real and positive.
-    """
-    if total_linewidth <= 0.0:
-        raise ValueError("total_linewidth must be > 0")
-    pump = math.sqrt(drive.power_w * drive.external_linewidth
-                     / (hbar * drive.frequency))
-    amp = pump / (total_linewidth / 2.0 + 1j * drive.detuning)
-    return IntracavityDrive(pump_rate=pump, amplitude=complex(amp))
-
-
-def effective_coupling(single_photon_rate: float,
-                       intracavity: IntracavityDrive | complex) -> float:
-    """G = g_0 * |<a>|, the drive-enhanced coupling."""
-    amp = intracavity.amplitude if isinstance(intracavity, IntracavityDrive) \
-        else intracavity
-    return float(single_photon_rate * abs(amp))
 
 
 @dataclass(frozen=True)

@@ -57,11 +57,6 @@ class PulseSpec:
     def coupling_ratio(self) -> float:
         return self.coupling / self.cavity_linewidth
 
-    @property
-    def is_weak_coupling(self) -> bool:
-        """Whether G/kappa is small enough for the adiabatic picture."""
-        return self.coupling_ratio <= WEAK_COUPLING_BOUND
-
 
 @dataclass(frozen=True)
 class SwapResult:

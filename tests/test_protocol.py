@@ -37,12 +37,6 @@ class TestNodeSpecs:
                 cavity_freq=1.0, mech_freq=1.0, cavity_linewidth=1.0,
                 mech_damping=-1.0)
 
-    def test_optional_coupling_must_be_positive(self):
-        with pytest.raises(ScenarioError, match="single_photon_coupling"):
-            protocol.MechanicalNodeSpec(
-                cavity_freq=1.0, mech_freq=1.0, cavity_linewidth=1.0,
-                mech_damping=1.0, single_photon_coupling=0.0)
-
     def test_drive_detuning_must_be_finite(self):
         with pytest.raises(ScenarioError, match="drive_detuning"):
             protocol.MechanicalNodeSpec(
@@ -322,6 +316,9 @@ class TestRunEntanglement:
         assert any("closed form" in w for w in rep.warnings)
         assert rep.en_fock.value == pytest.approx(0.72961397578, rel=1e-9)
         assert rep.en_closed.value == pytest.approx(0.736767185195, rel=1e-9)
+        assert rep.en_traced.value == pytest.approx(0.719129768291, rel=1e-9)
+        assert rep.branch_probability == pytest.approx(0.989226152086,
+                                                       rel=1e-9)
         assert rep.en_traced.value < rep.en_fock.value
         # mixing over Kraus branches costs entanglement beyond the closed
         # form's pure-state estimate
@@ -354,6 +351,13 @@ class TestEntanglementCurves:
         # full conversion reproduces 2r
         assert points[0].en_fock == pytest.approx(0.4, abs=1e-9)
         assert points[1].en_fock == pytest.approx(1.0, abs=1e-7)
+
+    def test_matches_lossless_run_entanglement(self):
+        rep = protocol.run_entanglement(protocol.default_entanglement_scenario())
+        [point] = protocol.entanglement_curves((rep.squeezing,),
+                                               (rep.efficiency,))
+        assert point.en_fock == pytest.approx(rep.en_fock.value, abs=1e-12)
+        assert point.en_closed == pytest.approx(rep.en_closed.value, abs=1e-12)
 
     def test_growth_in_squeezing(self):
         points = protocol.entanglement_curves((0.1, 0.3, 0.6), (0.8,))
