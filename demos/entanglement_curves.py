@@ -41,7 +41,7 @@ def main():
             cells.append(f"{p.en_fock:.6f}/{p.en_closed - p.en_fock:+.0e}")
         print(f"  {r:5.2f}   " + "  ".join(cells))
     print("each cell is engine value / (closed - engine); the gap is the")
-    print("truncation error of the partial-transpose trace norm and grows")
+    print("truncation error of the engine's squeezed pair and grows")
     print("with r because the squeezed tail weight scales like tanh(r)^d.")
 
 

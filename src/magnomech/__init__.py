@@ -60,6 +60,7 @@ from .metrics import (
     fidelity_pure_target,
     log_negativity_fock,
     log_negativity_gaussian,
+    log_negativity_pure,
     symplectic_eigenvalues,
 )
 from .moments import (
@@ -107,7 +108,8 @@ __all__ = [
     "post_loss_pulse_state",
     # metrics
     "Fidelity", "LogNegativity", "fidelity_pure_target",
-    "log_negativity_fock", "log_negativity_gaussian", "effective_squeezing",
+    "log_negativity_fock", "log_negativity_pure", "log_negativity_gaussian",
+    "effective_squeezing",
     "closed_form_log_negativity", "symplectic_eigenvalues",
     # moments
     "CovarianceState", "DriftDiffusion", "TemporalMode", "build_drift",

@@ -24,6 +24,9 @@ HERMITICITY_TOL = 1e-10
 KET_NORM_TOL = 1e-12
 PSD_TOL = 1e-10
 DEFAULT_LEAK_TOL = 1e-8
+# rows per block of the Hermiticity scan: 64 x 900 complex temporaries
+# (about 1 MB) at truncation 30, instead of two full d^2 x d^2 copies
+_HERMITICITY_BLOCK_ROWS = 64
 
 GENERATOR_KINDS = ("beamsplitter", "two_mode_squeeze")
 
@@ -134,6 +137,16 @@ class FockKet:
         return np.abs(self.amplitudes) ** 2
 
 
+def _hermiticity_error(m: np.ndarray) -> float:
+    """max |m - m^H|, scanned in row blocks so no full-size temporary is built."""
+    worst = 0.0
+    for start in range(0, m.shape[0], _HERMITICITY_BLOCK_ROWS):
+        stop = start + _HERMITICITY_BLOCK_ROWS
+        block = np.abs(m[start:stop] - m[:, start:stop].conj().T)
+        worst = max(worst, float(block.max()))
+    return worst
+
+
 class FockDensityMatrix:
     """Density matrix on a truncated multi-mode Fock space.
 
@@ -152,7 +165,7 @@ class FockDensityMatrix:
             raise ValueError(
                 f"matrix shape {m.shape} does not match joint dimension {dims.size}"
             )
-        herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        herm = _hermiticity_error(m)
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix deviates from Hermitian by {herm:.3e}")
         tr = m.trace()
@@ -318,6 +331,16 @@ def _apply_pair_matrix(mat: np.ndarray, dims: ModeDims, i: int, j: int,
     return np.ascontiguousarray(t.reshape(mat.shape))
 
 
+def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for real a and complex z, without promoting a to complex.
+
+    The complex columns are read as interleaved (real, imag) float pairs,
+    so one real product handles both parts.
+    """
+    z = np.ascontiguousarray(z, dtype=complex)
+    return (a @ z.view(np.float64)).view(complex)
+
+
 def truncation_leak(state, modes) -> float:
     """Fraction of the trace on the top Fock shell of any listed mode.
 
@@ -371,9 +394,9 @@ def apply_two_mode_exponential(state, mode_a: int, mode_b: int, kind: str,
         t = state.amplitudes.reshape(dims.dims)
         t = np.moveaxis(t, (mode_a, mode_b), (0, 1))
         shp = t.shape
-        y = v.T @ t.reshape(pair, -1)
+        y = _real_matmul(v.T, t.reshape(pair, -1))
         y *= np.exp(-1j * angle * w)[:, None]
-        t = (v @ y).reshape(shp)
+        t = _real_matmul(v, y).reshape(shp)
         t = np.moveaxis(t, (0, 1), (mode_a, mode_b))
         out = FockKet(dims, t.reshape(-1))
     else:

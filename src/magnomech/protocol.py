@@ -522,7 +522,6 @@ class EntangleReport:
     truncation: int
     leak: float
     branch_probability: float
-    state: fock.FockDensityMatrix
     en_fock: metrics.LogNegativity
     en_closed: metrics.LogNegativity
     en_traced: metrics.LogNegativity
@@ -532,31 +531,40 @@ class EntangleReport:
 class _Entangled(NamedTuple):
     """What one run of the entanglement chain measured."""
 
-    leak: float
     branch_probability: float
-    state: fock.FockDensityMatrix
     en_fock: metrics.LogNegativity
     en_traced: metrics.LogNegativity | None
 
 
-def _entangle(d: int, squeezing: float, efficiency: float,
-              transmittance: float, leak_tol: float, *,
-              traced: bool) -> _Entangled:
-    """Squeeze -> fiber loss -> conversion swap, measured by log negativity.
+def _squeezed_vacuum(d: int, squeezing: float,
+                     leak_tol: float) -> tuple[np.ndarray, float]:
+    """Two-mode squeezed (magnon, pulse) vacuum as a d x d amplitude matrix.
 
-    The vacuum is two-mode squeezed (magnon, pulse), each Kraus operator of
-    the fiber loss gives one pulse ket (at T = 1 the identity is the only
-    one), and the conversion swap is contracted onto the mechanical mode.
-    Every state is B B^H, the columns of B being the resulting [magnon,
-    phonon] kets.  The vacuum branch (no photon left in the pulse mode) is
-    renormalized; with ``traced`` the unconditioned state, summed over all
-    residual photon numbers, is measured too (else ``en_traced`` is None).
+    Returns the amplitudes psi[magnon, pulse] and the truncation leak of
+    the pair; raises TruncationLeakError when the leak exceeds ``leak_tol``.
     """
+    pair = propagators.apply_stokes_squeeze(
+        fock.number_ket(fock.ModeDims((d, d)), (0, 0)), 0, 1, squeezing,
+        leak_tol=leak_tol)
+    return pair.amplitudes.reshape(d, d), fock.truncation_leak(pair, (0, 1))
+
+
+def _entangle(psi: np.ndarray, efficiency: float, transmittance: float, *,
+              traced: bool) -> _Entangled:
+    """Fiber loss -> conversion swap on a squeezed pair, measured by E_N.
+
+    Each Kraus operator of the fiber loss gives one pulse ket from ``psi``
+    (at T = 1 the identity is the only one), and the conversion swap is
+    contracted onto the mechanical mode.  The columns of B are the
+    resulting [magnon, phonon] kets; the vacuum branch (no photon left in
+    the pulse mode) is renormalized.  A single-column branch is pure and
+    takes the Schmidt route; otherwise the state B B^H is measured by its
+    partial transpose.  With ``traced`` the unconditioned state, summed
+    over all residual photon numbers, is measured too (else ``en_traced``
+    is None).
+    """
+    d = psi.shape[0]
     dims = fock.ModeDims((d, d))
-    pair = propagators.apply_stokes_squeeze(fock.number_ket(dims, (0, 0)),
-                                            0, 1, squeezing, leak_tol=leak_tol)
-    leak = fock.truncation_leak(pair, (0, 1))
-    psi = pair.amplitudes.reshape(d, d)  # [magnon, pulse]
     kets = [psi @ a.T for a in channels.loss_kraus_operators(d, transmittance)]
 
     def branches(residuals) -> np.ndarray:
@@ -567,20 +575,19 @@ def _entangle(d: int, squeezing: float, efficiency: float,
             columns.extend((k @ contraction.T).reshape(-1) for k in kets)
         return np.stack(columns, axis=1)
 
-    def gram(b: np.ndarray) -> np.ndarray:
-        # B B^H; a B passed straight in is freed before the state copies this
-        return b @ b.conj().T
+    def log_negativity(b: np.ndarray) -> metrics.LogNegativity:
+        if b.shape[1] == 1:
+            return metrics.log_negativity_pure(fock.FockKet(dims, b[:, 0]))
+        return metrics.log_negativity_fock(
+            fock.FockDensityMatrix(dims, b @ b.conj().T), (1,))
 
-    en_traced = metrics.log_negativity_fock(
-        fock.FockDensityMatrix(dims, gram(branches(range(d)))), (1,)) \
-        if traced else None
+    en_traced = log_negativity(branches(range(d))) if traced else None
     branch = branches((0,))
     prob = float(np.vdot(branch, branch).real)
     if prob <= 0.0:
         raise RuntimeError("vacuum branch has zero probability")
-    state = fock.FockDensityMatrix(dims, gram(branch / math.sqrt(prob)))
-    en_fock = metrics.log_negativity_fock(state, (1,))
-    return _Entangled(leak, prob, state, en_fock, en_traced)
+    en_fock = log_negativity(branch / math.sqrt(prob))
+    return _Entangled(prob, en_fock, en_traced)
 
 
 def run_entanglement(scenario: ScenarioConfig) -> EntangleReport:
@@ -609,7 +616,8 @@ def run_entanglement(scenario: ScenarioConfig) -> EntangleReport:
     else:
         t_fiber = 1.0
 
-    core = _entangle(d, r, w_eff, t_fiber, budget, traced=True)
+    psi, leak = _squeezed_vacuum(d, r, budget)
+    core = _entangle(psi, w_eff, t_fiber, traced=True)
     combined = w_eff * t_fiber
     return EntangleReport(
         squeezing=r,
@@ -617,9 +625,8 @@ def run_entanglement(scenario: ScenarioConfig) -> EntangleReport:
         efficiency=w_eff,
         transmittance=t_fiber,
         truncation=d,
-        leak=core.leak,
+        leak=leak,
         branch_probability=core.branch_probability,
-        state=core.state,
         en_fock=core.en_fock,
         en_closed=metrics.closed_form_log_negativity(r, combined),
         en_traced=core.en_traced,
@@ -644,19 +651,19 @@ def entanglement_curves(squeezings: Sequence[float],
     """E_N versus squeezing for a family of conversion efficiencies.
 
     Rows follow the given orderings (efficiency outer, squeezing inner).
-    The engine value comes from the partial-transpose trace norm of the
-    renormalized vacuum branch; the closed form is 2 artanh(sqrt(W) tanh r).
+    Each squeezed pair is computed once and shared by every efficiency.
+    The engine value is the Schmidt-route log negativity of the
+    renormalized pure vacuum branch; the closed form is
+    2 artanh(sqrt(W) tanh r).
     """
     d = int(truncation)
+    rs = [float(r) for r in squeezings]
+    pairs = [_squeezed_vacuum(d, r, SQUEEZE_LEAK_BUDGET)[0] for r in rs]
     points = []
     for eta in efficiencies:
         eta = float(eta)
-        for r in squeezings:
-            r = float(r)
-            # held until the next point replaces it: freeing every d^2 x d^2
-            # buffer between points lets the allocator hand the memory back
-            # and fault it in again, about twice the page faults per point
-            core = _entangle(d, r, eta, 1.0, SQUEEZE_LEAK_BUDGET, traced=False)
+        for r, psi in zip(rs, pairs):
+            core = _entangle(psi, eta, 1.0, traced=False)
             en_closed = metrics.closed_form_log_negativity(r, eta).value
             points.append(CurvePoint(squeezing=r, efficiency=eta,
                                      en_closed=en_closed,

@@ -252,6 +252,18 @@ class TestEntangleCommand:
         assert "raise --truncation" in err
 
 
+class TestFig5Command:
+    def test_truncation_leak_exit_code(self, tmp_path, capsys):
+        # the sweep reaches r = 1.5, which cannot fit in 8 levels per mode
+        out = tmp_path / "f.csv"
+        code = cli.main(["fig5", "--truncation", "8", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "truncation budget exceeded" in err
+        assert "raise --truncation" in err
+        assert not out.exists()
+
+
 class TestValidateCommand:
     def test_defaults_pass(self, capsys):
         assert cli.main(["validate"]) == 0

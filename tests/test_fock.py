@@ -80,6 +80,17 @@ class TestFockDensityMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             fock.FockDensityMatrix((2,), m)
 
+    def test_hermiticity_scan_reaches_last_row_block(self):
+        # d = 30 pair matrix; the scan runs in row blocks, and an unmirrored
+        # element whose row and column both sit in the final block (so no
+        # earlier block sees its mirror) must still be caught
+        dims = fock.ModeDims((30, 30))
+        m = np.eye(dims.size, dtype=complex) / dims.size
+        fock.FockDensityMatrix(dims, m)
+        m[-1, -2] = 2e-10
+        with pytest.raises(ValueError, match="Hermitian by 2.000e-10"):
+            fock.FockDensityMatrix(dims, m)
+
     def test_trace_window(self):
         # subnormalized branch states are allowed, trace > 1 is not
         half = np.diag([0.25, 0.25]).astype(complex)
@@ -239,6 +250,29 @@ class TestTwoModeUnitaries:
                                                     kind, angle, leak_tol=1.0)
             np.testing.assert_allclose(out_k.density_matrix().matrix, out_r.matrix,
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("kind", fock.GENERATOR_KINDS)
+    def test_complex_ket_matches_dense_unitary(self, kind):
+        # the ket route multiplies the real eigenbasis into the real and
+        # imaginary parts separately; a phase-rotated ket has both
+        rng = np.random.default_rng(5)
+        dims = fock.ModeDims((4, 6))
+        amps = rng.normal(size=24) + 1j * rng.normal(size=24)
+        k = fock.apply_phase_rotation(fock.FockKet(dims, amps, normalize=True),
+                                      0, 0.7)
+        angle = 0.45
+        out = fock.apply_two_mode_exponential(k, 0, 1, kind, angle,
+                                              leak_tol=1.0)
+        u = fock.two_mode_unitary(4, 6, kind, angle)
+        np.testing.assert_allclose(out.amplitudes, u @ k.amplitudes,
+                                   rtol=0, atol=1e-13)
+        # reversed mode order: the pair axes are transposed before the product
+        out = fock.apply_two_mode_exponential(k, 1, 0, kind, angle,
+                                              leak_tol=1.0)
+        u = fock.two_mode_unitary(6, 4, kind, angle)
+        psi_t = k.amplitudes.reshape(4, 6).T.reshape(-1)
+        expect = (u @ psi_t).reshape(6, 4).T.reshape(-1)
+        np.testing.assert_allclose(out.amplitudes, expect, rtol=0, atol=1e-13)
 
     def test_applies_to_interior_mode_pair(self):
         dims = fock.ModeDims((2, 3, 3, 2))

@@ -69,6 +69,50 @@ class TestFockNegativity:
         assert en0 == pytest.approx(en1, abs=1e-12)
 
 
+class TestPureNegativity:
+    """The Schmidt route against the partial-transpose route on pure kets."""
+
+    @pytest.mark.parametrize("dims", [(3, 5), (4, 4), (6, 2)])
+    def test_matches_ppt_on_random_kets(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        size = dims[0] * dims[1]
+        for _ in range(3):
+            amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+            ket = fock.FockKet(dims, amps, normalize=True)
+            en = metrics.log_negativity_pure(ket)
+            assert en.method == "fock_schmidt"
+            assert en.value > 0.0
+            assert en.value == pytest.approx(
+                metrics.log_negativity_fock(ket.density_matrix(), (1,)).value,
+                abs=1e-12)
+
+    def test_product_state_is_zero(self):
+        a = np.array([0.6, 0.8j, 0.0])
+        b = np.array([1.0, -1.0, 1j, 0.5]) / math.sqrt(3.25)
+        ket = fock.FockKet((3, 4), np.kron(a, b))
+        assert metrics.log_negativity_pure(ket).value == pytest.approx(
+            0.0, abs=1e-12)
+        assert metrics.log_negativity_fock(ket.density_matrix(), (1,)).value == \
+            pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0])
+    def test_matches_ppt_on_squeezed_pair(self, r):
+        dims = fock.ModeDims((30, 30))
+        pair = fock.apply_two_mode_exponential(
+            fock.number_ket(dims, (0, 0)), 0, 1, "two_mode_squeeze", r,
+            leak_tol=1e-2)
+        en = metrics.log_negativity_pure(pair).value
+        assert en == pytest.approx(
+            metrics.log_negativity_fock(pair.density_matrix(), (1,)).value,
+            abs=1e-12)
+
+    def test_needs_two_modes(self):
+        with pytest.raises(ValueError, match="two-mode"):
+            metrics.log_negativity_pure(fock.number_ket((3,), (1,)))
+        with pytest.raises(ValueError, match="two-mode"):
+            metrics.log_negativity_pure(fock.number_ket((2, 2, 2), (0, 1, 0)))
+
+
 class TestEffectiveSqueezing:
     def test_closed_form(self):
         r, eta = 0.8, 0.55

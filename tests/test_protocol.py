@@ -297,11 +297,19 @@ class TestRunEntanglement:
         assert rep.leak < 1e-12
         assert rep.warnings == ()
 
-    def test_branch_probability_and_trace(self):
+    def test_branch_probability_and_routes(self):
         rep = protocol.run_entanglement(protocol.default_entanglement_scenario())
         assert rep.branch_probability == pytest.approx(0.988724121669,
                                                        rel=1e-9)
-        assert rep.state.trace() == pytest.approx(1.0, abs=1e-12)
+        # the lossless vacuum branch is one pure column; the traced state
+        # and every lossy branch are mixed
+        assert rep.en_fock.method == "fock_schmidt"
+        assert rep.en_traced.method == "fock_ppt"
+        sc = dataclasses.replace(protocol.default_entanglement_scenario(),
+                                 include_loss_in_entanglement=True)
+        lossy = protocol.run_entanglement(sc)
+        assert lossy.en_fock.method == "fock_ppt"
+        assert lossy.en_traced.method == "fock_ppt"
 
     def test_unconditioned_trace_lies_below_branch(self):
         rep = protocol.run_entanglement(protocol.default_entanglement_scenario())
@@ -358,6 +366,21 @@ class TestEntanglementCurves:
                                                (rep.efficiency,))
         assert point.en_fock == pytest.approx(rep.en_fock.value, abs=1e-12)
         assert point.en_closed == pytest.approx(rep.en_closed.value, abs=1e-12)
+
+    def test_squeezes_each_r_once(self, monkeypatch):
+        calls = []
+        squeeze = propagators.apply_stokes_squeeze
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return squeeze(*args, **kwargs)
+
+        monkeypatch.setattr(propagators, "apply_stokes_squeeze", counted)
+        squeezings = (0.1, 0.4, 0.7)
+        points = protocol.entanglement_curves(squeezings, (1.0, 0.6, 0.3),
+                                              truncation=12)
+        assert calls == list(squeezings)
+        assert len(points) == 9
 
     def test_growth_in_squeezing(self):
         points = protocol.entanglement_curves((0.1, 0.3, 0.6), (0.8,))
