@@ -32,7 +32,6 @@ from .fock import (
     partial_trace,
     partial_transpose,
     tensor,
-    tensor_ket,
     truncation_leak,
     vacuum,
 )
@@ -97,7 +96,7 @@ __all__ = [
     "__version__",
     # fock
     "ModeDims", "FockKet", "FockDensityMatrix", "TruncationLeakError",
-    "vacuum", "number_ket", "tensor", "tensor_ket", "partial_trace",
+    "vacuum", "number_ket", "tensor", "partial_trace",
     "partial_transpose", "condition_on_vacuum", "truncation_leak",
     "apply_two_mode_exponential", "apply_phase_rotation",
     # propagators

@@ -8,8 +8,11 @@ new object.
 
 Beamsplitter and two-mode-squeeze unitaries are generated by exponentiating
 the Hermitian pair generators (a^dag b + a b^dag) and (a^dag b^dag + a b).
-The eigendecomposition of each generator is cached per (dim, dim, kind),
-so sweeps over the angle cost two dense matmuls per value.
+The beamsplitter conserves n_a + n_b and the squeeze conserves n_a - n_b,
+so each generator splits into sectors of at most min(d_a, d_b) states on
+which it is tridiagonal.  The per-sector eigensystems are cached per
+(dim, dim, kind), so sweeps over the angle cost a few small matmuls per
+sector and never form a d_a d_b x d_a d_b matrix on a ket.
 """
 
 from __future__ import annotations
@@ -224,11 +227,6 @@ def tensor(a: FockDensityMatrix, b: FockDensityMatrix) -> FockDensityMatrix:
     return FockDensityMatrix(dims, np.kron(a.matrix, b.matrix))
 
 
-def tensor_ket(a: FockKet, b: FockKet) -> FockKet:
-    dims = ModeDims(a.dims.dims + b.dims.dims)
-    return FockKet(dims, np.kron(a.amplitudes, b.amplitudes))
-
-
 def partial_trace(rho: FockDensityMatrix, mode: int) -> FockDensityMatrix:
     """Trace out one mode; remaining modes keep their relative order."""
     dims = rho.dims
@@ -285,21 +283,42 @@ def partial_transpose(rho: FockDensityMatrix, modes) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(order).reshape(dims.size, dims.size))
 
 
-def _pair_generator(da: int, db: int, kind: str) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1.0, da)), 1)  # annihilation, a[n-1, n] = sqrt(n)
-    b = np.diag(np.sqrt(np.arange(1.0, db)), 1)
-    if kind == "beamsplitter":
-        return np.kron(a.T, b) + np.kron(a, b.T)
-    if kind == "two_mode_squeeze":
-        return np.kron(a.T, b.T) + np.kron(a, b)
-    raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
+def _tridiagonal_sector(na: np.ndarray, nb: np.ndarray, off: np.ndarray,
+                        db: int) -> tuple:
+    """Flat indices and eigensystem of a generator block with zero diagonal."""
+    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return _freeze(na * db + nb), _freeze(w), _freeze(v)
 
 
 @functools.lru_cache(maxsize=16)
 def pair_generator_eigensystem(da: int, db: int, kind: str):
-    """Eigenvalues and (real orthogonal) eigenvectors of the pair generator."""
-    w, v = np.linalg.eigh(_pair_generator(da, db, kind))
-    return _freeze(w), _freeze(v)
+    """Per-sector eigensystems of the pair generator on a da x db pair space.
+
+    Returns one ``(flat_indices, eigenvalues, eigenvectors)`` per conserved
+    sector, in order of its label: n_a + n_b = 0, 1, ..., da + db - 2 for
+    the beamsplitter, n_a - n_b = -(db - 1), ..., da - 1 for the squeeze.
+    ``flat_indices`` lists the sector's states |n_a, n_b> by rising n_a
+    (row-major index n_a * db + n_b).  On them the generator is
+    tridiagonal, and ``eigenvectors`` (real orthogonal) diagonalise it.
+    """
+    sectors = []
+    if kind == "beamsplitter":
+        # a^dag b |n_a, n_b> = sqrt((n_a + 1) n_b) |n_a + 1, n_b - 1>
+        for total in range(da + db - 1):
+            na = np.arange(max(0, total - db + 1), min(da, total + 1))
+            nb = total - na
+            off = np.sqrt((na[:-1] + 1.0) * nb[:-1])
+            sectors.append(_tridiagonal_sector(na, nb, off, db))
+    elif kind == "two_mode_squeeze":
+        # a^dag b^dag |n_a, n_b> = sqrt((n_a + 1)(n_b + 1)) |n_a + 1, n_b + 1>
+        for diff in range(-(db - 1), da):
+            na = np.arange(max(0, diff), min(da, db + diff))
+            nb = na - diff
+            off = np.sqrt((na[:-1] + 1.0) * (nb[:-1] + 1.0))
+            sectors.append(_tridiagonal_sector(na, nb, off, db))
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
+    return tuple(sectors)
 
 
 def two_mode_unitary(da: int, db: int, kind: str, angle: float) -> np.ndarray:
@@ -309,8 +328,10 @@ def two_mode_unitary(da: int, db: int, kind: str, angle: float) -> np.ndarray:
     angle = float(angle)
     if not np.isfinite(angle):
         raise ValueError("angle must be finite")
-    w, v = pair_generator_eigensystem(int(da), int(db), kind)
-    return (v * np.exp(-1j * angle * w)) @ v.T
+    u = np.zeros((da * db, da * db), dtype=complex)
+    for idx, w, v in pair_generator_eigensystem(int(da), int(db), kind):
+        u[np.ix_(idx, idx)] = (v * np.exp(-1j * angle * w)) @ v.T
+    return u
 
 
 def _apply_pair_matrix(mat: np.ndarray, dims: ModeDims, i: int, j: int,
@@ -329,16 +350,6 @@ def _apply_pair_matrix(mat: np.ndarray, dims: ModeDims, i: int, j: int,
         t = (u.conj() @ t.reshape(pair, -1)).reshape(shp)
         t = np.moveaxis(t, (0, 1), (nm + i, nm + j))
     return np.ascontiguousarray(t.reshape(mat.shape))
-
-
-def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for real a and complex z, without promoting a to complex.
-
-    The complex columns are read as interleaved (real, imag) float pairs,
-    so one real product handles both parts.
-    """
-    z = np.ascontiguousarray(z, dtype=complex)
-    return (a @ z.view(np.float64)).view(complex)
 
 
 def truncation_leak(state, modes) -> float:
@@ -381,23 +392,24 @@ def apply_two_mode_exponential(state, mode_a: int, mode_b: int, kind: str,
         if not 0 <= k < dims.n_modes:
             raise ValueError(f"mode {k} out of range")
     if isinstance(state, FockKet):
-        # kets never need the dense pair unitary: go through the cached
-        # eigenbasis (two matvecs instead of an O(d^3) matrix build)
+        # kets never need the dense pair unitary: apply V e^{-i angle w} V^T
+        # one conserved sector at a time, from the cached sector eigensystems
         if kind not in GENERATOR_KINDS:
             raise ValueError(
                 f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
         angle = float(angle)
         if not np.isfinite(angle):
             raise ValueError("angle must be finite")
-        w, v = pair_generator_eigensystem(dims.dims[mode_a], dims.dims[mode_b], kind)
         pair = dims.dims[mode_a] * dims.dims[mode_b]
         t = state.amplitudes.reshape(dims.dims)
         t = np.moveaxis(t, (mode_a, mode_b), (0, 1))
         shp = t.shape
-        y = _real_matmul(v.T, t.reshape(pair, -1))
-        y *= np.exp(-1j * angle * w)[:, None]
-        t = _real_matmul(v, y).reshape(shp)
-        t = np.moveaxis(t, (0, 1), (mode_a, mode_b))
+        t = t.reshape(pair, -1)
+        y = np.empty_like(t)
+        for idx, w, v in pair_generator_eigensystem(dims.dims[mode_a],
+                                                    dims.dims[mode_b], kind):
+            y[idx] = v @ (np.exp(-1j * angle * w)[:, None] * (v.T @ t[idx]))
+        t = np.moveaxis(y.reshape(shp), (0, 1), (mode_a, mode_b))
         out = FockKet(dims, t.reshape(-1))
     else:
         u = two_mode_unitary(dims.dims[mode_a], dims.dims[mode_b], kind, angle)

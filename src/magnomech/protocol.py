@@ -499,16 +499,21 @@ def _swap_vacuum_contraction(d_src: int, d_tgt: int, efficiency: float,
                              residual: int = 0) -> np.ndarray:
     """K[M, n] = <residual, M| U_bs |n, 0> for the partial swap src -> tgt.
 
-    Columns of the pair beamsplitter unitary, assembled from the cached
-    generator eigensystem without forming the full matrix.  ``residual``
+    The beamsplitter conserves the total photon number, so |n, 0> only
+    reaches |residual, n - residual>: K is zero off the shifted diagonal
+    M = n - residual.  Each entry is one element of the sector-n block
+    V e^{-i theta w} V^T of the cached sector eigensystem.  ``residual``
     selects how many photons stay behind in the source mode.
     """
     theta = math.asin(math.sqrt(float(efficiency)))
-    w, v = fock.pair_generator_eigensystem(int(d_src), int(d_tgt), "beamsplitter")
-    phases = np.exp(-1j * theta * w)
-    rows = v[residual * d_tgt:(residual + 1) * d_tgt, :]
-    cols = v[::d_tgt, :]
-    return (rows * phases) @ cols.T
+    sectors = fock.pair_generator_eigensystem(int(d_src), int(d_tgt),
+                                              "beamsplitter")
+    k = np.zeros((d_tgt, d_src), dtype=complex)
+    for n in range(residual, min(d_src, residual + d_tgt)):
+        idx, w, v = sectors[n]            # the sector n_src + n_tgt = n
+        lo = idx[0] // d_tgt              # its smallest source occupation
+        k[n - residual, n] = (v[residual - lo] * np.exp(-1j * theta * w)) @ v[n - lo]
+    return k
 
 
 @dataclass(eq=False)

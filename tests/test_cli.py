@@ -241,6 +241,33 @@ class TestEntangleCommand:
         assert float(rows[0].split(",")[3]) == pytest.approx(0.72961397578,
                                                              rel=1e-9)
 
+    def test_zero_length_fiber_matches_lossless_run(self, tmp_path,
+                                                    monkeypatch):
+        # loss switched on over 0 km (T = 1) must reproduce the lossless run
+        reports = []
+        run = protocol.run_entanglement
+
+        def recording(scenario):
+            reports.append(run(scenario))
+            return reports[-1]
+
+        monkeypatch.setattr(protocol, "run_entanglement", recording)
+        path = write_config(tmp_path, "include_loss_in_entanglement = true\n"
+                                      "fiber_length_km = 0\n")
+        assert cli.main(["entangle", path, "--out",
+                         str(tmp_path / "lossy.csv")]) == 0
+        assert cli.main(["entangle", "--out",
+                         str(tmp_path / "lossless.csv")]) == 0
+        lossy, lossless = reports
+        assert lossy.transmittance == 1.0
+        assert lossless.transmittance == 1.0
+        for field in ("branch_probability", "en_fock", "en_traced"):
+            a, b = getattr(lossy, field), getattr(lossless, field)
+            if field != "branch_probability":
+                assert a.method == b.method
+                a, b = a.value, b.value
+            assert abs(a - b) <= 1e-12, field
+
     def test_truncation_leak_exit_code(self, tmp_path, capsys):
         # r = 1.2 pulse cannot fit in 8 levels per mode
         path = write_config(tmp_path, "magnon_pulse_duration_s = 236.2e-9\n")

@@ -182,6 +182,27 @@ class TestPartialOps:
                         assert lhs == rhs
 
 
+class TestPairSectors:
+    @pytest.mark.parametrize("kind", fock.GENERATOR_KINDS)
+    @pytest.mark.parametrize("da, db", [(3, 7), (7, 3), (30, 30)])
+    def test_sectors_cover_pair_space_once(self, kind, da, db):
+        sectors = fock.pair_generator_eigensystem(da, db, kind)
+        flat = np.concatenate([idx for idx, _, _ in sectors])
+        assert sorted(flat.tolist()) == list(range(da * db))
+        # each sector holds one value of the conserved number, in rising
+        # order, and an orthogonal eigenbasis of its own size
+        sign = 1 if kind == "beamsplitter" else -1
+        labels = []
+        for idx, w, v in sectors:
+            na, nb = np.divmod(idx, db)
+            assert len(set((na + sign * nb).tolist())) == 1
+            labels.append(int(na[0] + sign * nb[0]))
+            assert v.shape == (idx.size, idx.size) and w.shape == (idx.size,)
+            np.testing.assert_allclose(v.T @ v, np.eye(idx.size), atol=1e-13)
+        assert labels == sorted(labels)
+        assert len(sectors) == da + db - 1
+
+
 class TestTwoModeUnitaries:
     @pytest.mark.parametrize("kind", fock.GENERATOR_KINDS)
     def test_unitarity(self, kind):
@@ -190,17 +211,19 @@ class TestTwoModeUnitaries:
 
     @pytest.mark.parametrize("kind", fock.GENERATOR_KINDS)
     def test_matches_dense_matrix_exponential(self, kind):
-        # independent route: scipy expm of the explicitly built generator
-        a = np.diag(np.sqrt(np.arange(1.0, 6)), 1)
-        b = np.diag(np.sqrt(np.arange(1.0, 7)), 1)
-        if kind == "beamsplitter":
-            k = np.kron(a.conj().T, b) + np.kron(a, b.conj().T)
-        else:
-            k = np.kron(a.conj().T, b.conj().T) + np.kron(a, b)
-        angle = 0.81
-        u_ref = expm(-1j * angle * k)
-        u = fock.two_mode_unitary(6, 7, kind, angle)
-        np.testing.assert_allclose(u, u_ref, atol=1e-12)
+        # independent route: scipy expm of the explicitly built generator,
+        # on unequal dimensions in both orders
+        for da, db in ((6, 7), (3, 7), (7, 3)):
+            a = np.diag(np.sqrt(np.arange(1.0, da)), 1)
+            b = np.diag(np.sqrt(np.arange(1.0, db)), 1)
+            if kind == "beamsplitter":
+                k = np.kron(a.conj().T, b) + np.kron(a, b.conj().T)
+            else:
+                k = np.kron(a.conj().T, b.conj().T) + np.kron(a, b)
+            angle = 0.81
+            u_ref = expm(-1j * angle * k)
+            u = fock.two_mode_unitary(da, db, kind, angle)
+            np.testing.assert_allclose(u, u_ref, atol=1e-12)
 
     def test_beamsplitter_full_swap_phases(self):
         # at theta = pi/2, |n, 0> -> (-i)^n |0, n>

@@ -1,11 +1,12 @@
 """Fidelity and log-negativity metrics, Fock route against Gaussian route."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from magnomech import fock, metrics
+from magnomech import fock, metrics, protocol
 
 
 def tmsv_table(d, r):
@@ -67,6 +68,103 @@ class TestFockNegativity:
         en0 = metrics.log_negativity_fock(rho, (0,)).value
         en1 = metrics.log_negativity_fock(rho, (1,)).value
         assert en0 == pytest.approx(en1, abs=1e-12)
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """Sizes of the matrices handed to np.linalg.eigvalsh, in call order."""
+    sizes = []
+    solve = np.linalg.eigvalsh
+
+    def recording(h):
+        sizes.append(h.shape[0])
+        return solve(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+def dense_log_negativity(rho):
+    """ln sum |eigvalsh(rho^T_1)| from one eigensolve of the whole matrix."""
+    pt = fock.partial_transpose(rho, (1,))
+    return math.log(float(np.abs(np.linalg.eigvalsh(pt)).sum()))
+
+
+class TestBlockRoute:
+    """Which partial-transpose route log_negativity_fock takes, and its value."""
+
+    def test_lossy_entangle_state_takes_block_route(self, monkeypatch,
+                                                    eigvalsh_sizes):
+        measured = []
+        route = metrics.log_negativity_fock
+
+        def recording(rho, transpose_modes=(1,)):
+            start = len(eigvalsh_sizes)
+            en = route(rho, transpose_modes)
+            measured.append((rho, en, eigvalsh_sizes[start:]))
+            return en
+
+        monkeypatch.setattr(metrics, "log_negativity_fock", recording)
+        sc = protocol.default_entanglement_scenario()
+        sc = dataclasses.replace(
+            sc, include_loss_in_entanglement=True,
+            fiber=dataclasses.replace(sc.fiber, length_km=10.0))
+        rep = protocol.run_entanglement(sc)
+        assert rep.en_fock.value == pytest.approx(0.536333486507, rel=1e-11)
+        assert len(measured) == 2          # the traced state and the branch
+        for rho, en, sizes in measured:
+            d = rho.dims.dims[0]
+            assert len(sizes) == 2 * d - 1 and max(sizes) == d
+            assert abs(en.value - dense_log_negativity(rho)) <= 1e-12
+            assert en.method == "fock_ppt"
+
+    def test_random_mixed_state_takes_dense_route(self, eigvalsh_sizes):
+        # criterion 9's construction: a random mixture of random kets
+        rng = np.random.default_rng(9)
+        dims = fock.ModeDims((4, 5))
+        m = np.zeros((20, 20), dtype=complex)
+        for _ in range(3):
+            v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+            v /= np.linalg.norm(v)
+            m += rng.uniform(0.1, 1.0) * np.outer(v, v.conj())
+        rho = fock.FockDensityMatrix(dims, m / m.trace())
+        en = metrics.log_negativity_fock(rho, (1,))
+        assert eigvalsh_sizes == [20]
+        assert en.value == pytest.approx(max(0.0, dense_log_negativity(rho)),
+                                         abs=1e-12)
+
+    @staticmethod
+    def sector_diagonal_state(d, coherence):
+        """Mixture of a |n, n> and a |n + 1, n> superposition, plus a
+        coherence between |0, 0> and |1, 0> (different n_0 - n_1)."""
+        dims = fock.ModeDims((d, d))
+        lam = 0.5
+        same = np.zeros(d * d, dtype=complex)
+        shifted = np.zeros(d * d, dtype=complex)
+        for n in range(d - 1):
+            same[dims.flat_index((n, n))] = lam**n
+            shifted[dims.flat_index((n + 1, n))] = (0.3j * lam) ** n
+        same /= np.linalg.norm(same)
+        shifted /= np.linalg.norm(shifted)
+        m = 0.7 * np.outer(same, same.conj()) \
+            + 0.3 * np.outer(shifted, shifted.conj())
+        i, j = dims.flat_index((0, 0)), dims.flat_index((1, 0))
+        m[i, j] += coherence
+        m[j, i] += coherence
+        return fock.FockDensityMatrix(dims, m)
+
+    def test_sector_diagonal_state_takes_block_route(self, eigvalsh_sizes):
+        rho = self.sector_diagonal_state(6, 0.0)
+        en = metrics.log_negativity_fock(rho, (1,))
+        assert len(eigvalsh_sizes) == 11 and max(eigvalsh_sizes) == 6
+        assert en.value > 0.1
+        assert abs(en.value - dense_log_negativity(rho)) <= 1e-12
+
+    def test_off_block_coherence_takes_dense_route(self, eigvalsh_sizes):
+        rho = self.sector_diagonal_state(6, 1e-12)
+        en = metrics.log_negativity_fock(rho, (1,))
+        assert eigvalsh_sizes == [36]
+        assert abs(en.value - dense_log_negativity(rho)) <= 1e-12
 
 
 class TestPureNegativity:

@@ -282,6 +282,21 @@ class TestClosedFormTransfer:
         assert out.populations.sum() == pytest.approx(expected, rel=1e-12)
 
 
+class TestSwapVacuumContraction:
+    @pytest.mark.parametrize("efficiency", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("residual", [0, 1, 5])
+    def test_matches_dense_beamsplitter(self, efficiency, residual):
+        d = 6
+        k = protocol._swap_vacuum_contraction(d, d, efficiency, residual)
+        u = fock.two_mode_unitary(d, d, "beamsplitter",
+                                  math.asin(math.sqrt(efficiency)))
+        # K[M, n] = <residual, M| U |n, 0>
+        expect = u[residual * d:(residual + 1) * d, ::d]
+        np.testing.assert_allclose(k, expect, rtol=0, atol=1e-13)
+        m, n = np.indices(k.shape)
+        assert not np.any(k[m != n - residual])
+
+
 class TestRunEntanglement:
     def test_lossless_branch_is_exact_squeezed_vacuum(self):
         rep = protocol.run_entanglement(protocol.default_entanglement_scenario())
