@@ -60,7 +60,6 @@ from .metrics import (
     log_negativity_fock,
     log_negativity_gaussian,
     log_negativity_pure,
-    symplectic_eigenvalues,
 )
 from .moments import (
     CovarianceState,
@@ -108,8 +107,7 @@ __all__ = [
     # metrics
     "Fidelity", "LogNegativity", "fidelity_pure_target",
     "log_negativity_fock", "log_negativity_pure", "log_negativity_gaussian",
-    "effective_squeezing",
-    "closed_form_log_negativity", "symplectic_eigenvalues",
+    "effective_squeezing", "closed_form_log_negativity",
     # moments
     "CovarianceState", "DriftDiffusion", "TemporalMode", "build_drift",
     "integrate", "validate_adiabatic", "compare_optomech_rwa",

@@ -25,7 +25,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 KET_NORM_TOL = 1e-12
-PSD_TOL = 1e-10
 DEFAULT_LEAK_TOL = 1e-8
 # rows per block of the Hermiticity scan: 64 x 900 complex temporaries
 # (about 1 MB) at truncation 30, instead of two full d^2 x d^2 copies
@@ -146,17 +145,18 @@ def _hermiticity_error(m: np.ndarray) -> float:
     for start in range(0, m.shape[0], _HERMITICITY_BLOCK_ROWS):
         stop = start + _HERMITICITY_BLOCK_ROWS
         block = np.abs(m[start:stop] - m[:, start:stop].conj().T)
-        worst = max(worst, float(block.max()))
-    return worst
+        # np.maximum keeps a NaN that Python's max would drop
+        worst = np.maximum(worst, block.max())
+    return float(worst)
 
 
 class FockDensityMatrix:
     """Density matrix on a truncated multi-mode Fock space.
 
-    Construction checks Hermiticity and the trace bound.  Trace may sit
-    below 1: conditional (branch) states produced by the transfer pipeline
-    are carried subnormalized on purpose.  Positivity is an O(d^3) check,
-    so it runs in :meth:`validate` rather than on every construction.
+    Construction checks Hermiticity and the trace bound, and rejects NaN.
+    Trace may sit below 1: conditional (branch) states produced by the
+    transfer pipeline are carried subnormalized on purpose.  Positivity is
+    an O(d^3) check and is not made on construction.
     """
 
     __slots__ = ("dims", "matrix")
@@ -168,13 +168,14 @@ class FockDensityMatrix:
             raise ValueError(
                 f"matrix shape {m.shape} does not match joint dimension {dims.size}"
             )
+        # each bound is written "not (value <= bound)" so that NaN fails it
         herm = _hermiticity_error(m)
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise ValueError(f"matrix deviates from Hermitian by {herm:.3e}")
         tr = m.trace()
-        if abs(tr.imag) > HERMITICITY_TOL:
+        if not abs(tr.imag) <= HERMITICITY_TOL:
             raise ValueError(f"trace has imaginary part {tr.imag:.3e}")
-        if tr.real <= 0.0 or tr.real > 1.0 + 1e-9:
+        if not 0.0 < tr.real <= 1.0 + 1e-9:
             raise ValueError(f"trace {tr.real!r} outside (0, 1]")
         self.dims = dims
         self.matrix = _freeze(m)
@@ -185,26 +186,6 @@ class FockDensityMatrix:
     def populations(self) -> np.ndarray:
         """Diagonal in the joint number basis (real part)."""
         return self.matrix.diagonal().real.copy()
-
-    def mode_populations(self, mode: int) -> np.ndarray:
-        """Marginal occupation distribution of one mode."""
-        p = self.populations().reshape(self.dims.dims)
-        axes = tuple(k for k in range(self.dims.n_modes) if k != mode)
-        return p.sum(axis=axes) if axes else p
-
-    def mode_occupation(self, mode: int) -> float:
-        p = self.mode_populations(mode)
-        return float(np.dot(p, np.arange(p.size)))
-
-    def validate(self, *, psd_tol: float = PSD_TOL, unit_trace: bool = False,
-                 trace_tol: float = 1e-9) -> "FockDensityMatrix":
-        """Full physicality check; raises ValueError on violation."""
-        if unit_trace and abs(self.trace() - 1.0) > trace_tol:
-            raise ValueError(f"trace {self.trace()!r} not 1 within {trace_tol}")
-        evals = np.linalg.eigvalsh(self.matrix)
-        if evals[0] < -psd_tol:
-            raise ValueError(f"minimum eigenvalue {evals[0]:.3e} below -{psd_tol}")
-        return self
 
 
 def vacuum(dims) -> FockDensityMatrix:

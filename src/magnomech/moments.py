@@ -13,9 +13,9 @@ Integration is fixed-step RK4, deterministic for fixed dt.
 
 Drift builders cover the beamsplitter-type (anti-Stokes) and parametric
 (Stokes) magnon-photon pulses, the red-detuned optomechanical pulse in the
-rotating-wave approximation, its blue-detuned counterpart (unstable beyond
-4 G^2 > kappa * gamma), and the full optomechanical dynamics including the
-counter-rotating terms, which oscillate at detuning + mech frequency.
+rotating-wave approximation, and the full optomechanical dynamics
+including the counter-rotating terms, which oscillate at detuning + mech
+frequency.
 
 Output temporal modes are captured by cascading an auxiliary filter
 variable whose weight matches the exponential output profile; its noise is
@@ -36,7 +36,6 @@ DRIFT_KINDS = (
     "magnonic_antistokes",
     "magnonic_stokes",
     "optomech_red_rwa",
-    "optomech_blue_rwa",
     "optomech_full",
 )
 
@@ -228,15 +227,6 @@ def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
         a[0, 3] = -g
         a[1, 2] = g
         a[2, 1] = -g
-        a[3, 0] = g
-        return DriftDiffusion(a, diffusion)
-
-    if kind == "optomech_blue_rwa":
-        # dc/dt = -k/2 c + iG b^dag ; db/dt = -gm/2 b + iG c^dag
-        a = decay.copy()
-        a[0, 3] = g
-        a[1, 2] = g
-        a[2, 1] = g
         a[3, 0] = g
         return DriftDiffusion(a, diffusion)
 

@@ -11,13 +11,17 @@ Two protocols are implemented on the truncated Fock engine:
   (efficiency W), leaving the distant magnon and phonon entangled.
 
 Both pipelines condition the intermediate mode on vacuum after each swap
-and carry the resulting branch state.  For the transfer protocol the
-branch is kept subnormalized, so the fidelity against the target ket reads
-as the success probability of a perfect transfer and reproduces the
-closed-form values STW, (SW)^n and the superposition formula; the
-unconditioned (traced) state is reported alongside.  For the entanglement
-protocol the branch is renormalized; in the lossless case it is exactly a
-two-mode squeezed vacuum with tanh r' = sqrt(W) tanh r, hence E_N = 2 r'.
+and carry the resulting branch state.  Every swap is one contraction
+<m, .| U_bs |., k> of the beamsplitter, so no swap forms a two-mode state.
+The transfer protocol carries a single-mode d x d density matrix through
+three Kraus channels: swap in, fiber loss, swap out.  Its branch is kept
+subnormalized, so the fidelity against the target ket reads as the
+success probability of a perfect transfer and reproduces the closed-form
+values STW, (SW)^n and the superposition formula; the unconditioned
+(traced) state is reported alongside.  The entanglement protocol carries
+the two-mode state as columns of kets, and its branch is renormalized; in
+the lossless case it is exactly a two-mode squeezed vacuum with
+tanh r' = sqrt(W) tanh r, hence E_N = 2 r'.
 
 Closed-form oracles evaluate the same quantities by scalar double sums
 with no Fock-space machinery, giving an independent check of the engine.
@@ -170,14 +174,6 @@ class InitialState:
         if c0 is None or c1 is None:
             raise ValueError("give both amplitudes or neither")
         return cls(f"superposition:{c0!r}:{c1!r}", ket=[c0, c1])
-
-    @classmethod
-    def pure(cls, coefficients, label: str | None = None) -> "InitialState":
-        return cls(label or "pure", ket=coefficients)
-
-    @classmethod
-    def from_table(cls, table, label: str = "table") -> "InitialState":
-        return cls(label, table=table)
 
     @property
     def is_pure(self) -> bool:
@@ -332,16 +328,6 @@ def _warnings_from(checks: Sequence[ValidationCheck]) -> tuple[str, ...]:
     return tuple(f"{c.name}: {c.message}" for c in checks if not c.passed)
 
 
-def _thermal_matrix(dim: int, occupation: float) -> fock.FockDensityMatrix:
-    # truncated geometric distribution, renormalized to unit trace
-    if occupation == 0.0:
-        return fock.vacuum(fock.ModeDims((dim,)))
-    q = occupation / (1.0 + occupation)
-    p = (1.0 - q) * q ** np.arange(dim)
-    p /= p.sum()
-    return fock.FockDensityMatrix(fock.ModeDims((dim,)), np.diag(p.astype(complex)))
-
-
 @dataclass(eq=False)
 class TransferReport:
     """Everything the transfer pipeline measured for one initial state."""
@@ -366,16 +352,28 @@ class TransferReport:
         return abs(self.fidelity_engine - self.fidelity_closed_form)
 
 
+def _apply_kraus(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """The single-mode channel rho -> sum_A A rho A^H."""
+    return sum(a @ rho @ a.conj().T for a in ops)
+
+
 def run_transfer(scenario: ScenarioConfig,
                  state: InitialState | None = None) -> TransferReport:
     """Magnon -> pulse -> fiber -> phonon pipeline on the Fock engine.
 
-    The magnon is conditioned on vacuum after the first swap and the pulse
-    mode after the second, so ``phonon_state`` is the subnormalized branch
-    the closed forms describe; ``phonon_state_traced`` is the unconditioned
-    reduced state for comparison.  Fidelities are reported against the
-    initial ket with the deterministic two-swap phase compensated, plus the
-    raw uncompensated value; both are None for mixed initial tables.
+    The carried state is single-mode at every stage, so each stage is a
+    Kraus channel on a d x d matrix.  Both swaps use the contraction
+    <m, .| U_bs |., k> of the beamsplitter with the source left holding m
+    excitations and the target starting in |k>: the swap in starts from
+    an empty pulse, the swap out from the phonon's thermal levels k,
+    weighted by sqrt(p_k).  The fiber is its loss channel.  Keeping only
+    m = 0 after each swap conditions the magnon and then the pulse mode
+    on vacuum, so ``phonon_state`` is the subnormalized branch the closed
+    forms describe; summing over every m gives the unconditioned reduced
+    state ``phonon_state_traced`` for comparison.  Fidelities are
+    reported against the initial ket with the deterministic two-swap
+    phase compensated, plus the raw uncompensated value; both are None
+    for mixed initial tables.
     """
     if state is None:
         state = scenario.initial_states[0]
@@ -385,27 +383,31 @@ def run_transfer(scenario: ScenarioConfig,
     s_eff = propagators.conversion_efficiency(scenario.magnon_pulse)
     w_eff = propagators.conversion_efficiency(scenario.mech_pulse)
     t_fiber = channels.transmittance(scenario.fiber)
-
-    rho_m = state.density(d)
-    stage = fock.tensor(rho_m, fock.vacuum(fock.ModeDims((d,))))
-    stage = propagators.apply_antistokes_swap(stage, 0, 1, s_eff.efficiency)
-    pulse_branch = fock.condition_on_vacuum(stage, 0)
-    pulse_traced = fock.partial_trace(stage, 0)
-
-    pulse_branch = channels.apply_loss(pulse_branch, 0, t_fiber)
-    pulse_traced = channels.apply_loss(pulse_traced, 0, t_fiber)
-
-    phonon_init = _thermal_matrix(d, scenario.phonon_thermal_occupation)
-    if scenario.phonon_thermal_occupation > 0.0:
+    nbar = scenario.phonon_thermal_occupation
+    if nbar > 0.0:
         warnings = warnings + (
             "phonon starts thermal; closed-form fidelity assumes ground state",)
 
-    def second_swap(pulse):
-        joint = fock.tensor(pulse, phonon_init)
-        return propagators.apply_antistokes_swap(joint, 0, 1, w_eff.efficiency)
+    swap_in = [_swap_vacuum_contraction(d, d, s_eff.efficiency, m)
+               for m in range(d)]
+    fiber = channels.loss_kraus_operators(d, t_fiber)
+    # truncated geometric phonon distribution, renormalized to unit trace
+    q = nbar / (1.0 + nbar)
+    weights = q ** np.arange(d)
+    weights /= weights.sum()
+    swap_out = [[math.sqrt(p) * _swap_vacuum_contraction(
+                     d, d, w_eff.efficiency, m, k)
+                 for k, p in enumerate(weights) if p > 0.0]
+                for m in range(d)]
 
-    phonon_branch = fock.condition_on_vacuum(second_swap(pulse_branch), 0)
-    phonon_traced = fock.partial_trace(second_swap(pulse_traced), 0)
+    rho_m = state.density(d).matrix
+    pulse_branch = _apply_kraus(_apply_kraus(rho_m, swap_in[:1]), fiber)
+    pulse_traced = _apply_kraus(_apply_kraus(rho_m, swap_in), fiber)
+    dims = fock.ModeDims((d,))
+    phonon_branch = fock.FockDensityMatrix(
+        dims, _apply_kraus(pulse_branch, swap_out[0]))
+    phonon_traced = fock.FockDensityMatrix(
+        dims, _apply_kraus(pulse_traced, [a for ops in swap_out for a in ops]))
 
     # each swap stamps -i per transferred excitation; undo both at once
     compensated = fock.apply_phase_rotation(phonon_branch, 0, math.pi)
@@ -496,23 +498,26 @@ def closed_form_transfer(state: InitialState, swap_in: float,
 
 
 def _swap_vacuum_contraction(d_src: int, d_tgt: int, efficiency: float,
-                             residual: int = 0) -> np.ndarray:
-    """K[M, n] = <residual, M| U_bs |n, 0> for the partial swap src -> tgt.
+                             residual: int = 0, occupied: int = 0) -> np.ndarray:
+    """K[M, n] = <residual, M| U_bs |n, occupied> for the partial swap src -> tgt.
 
-    The beamsplitter conserves the total photon number, so |n, 0> only
-    reaches |residual, n - residual>: K is zero off the shifted diagonal
-    M = n - residual.  Each entry is one element of the sector-n block
-    V e^{-i theta w} V^T of the cached sector eigensystem.  ``residual``
-    selects how many photons stay behind in the source mode.
+    The beamsplitter conserves the total photon number, so |n, occupied>
+    only reaches |residual, n + occupied - residual>: K is zero off that
+    shifted diagonal.  Each entry is one element of the sector
+    n + occupied block V e^{-i theta w} V^T of the cached sector
+    eigensystem.  ``residual`` selects how many photons stay behind in the
+    source mode, ``occupied`` how many the target mode holds before the
+    swap.
     """
     theta = math.asin(math.sqrt(float(efficiency)))
     sectors = fock.pair_generator_eigensystem(int(d_src), int(d_tgt),
                                               "beamsplitter")
+    shift = residual - occupied
     k = np.zeros((d_tgt, d_src), dtype=complex)
-    for n in range(residual, min(d_src, residual + d_tgt)):
-        idx, w, v = sectors[n]            # the sector n_src + n_tgt = n
-        lo = idx[0] // d_tgt              # its smallest source occupation
-        k[n - residual, n] = (v[residual - lo] * np.exp(-1j * theta * w)) @ v[n - lo]
+    for n in range(max(0, shift), min(d_src, shift + d_tgt)):
+        idx, w, v = sectors[n + occupied]  # the sector n_src + n_tgt
+        lo = idx[0] // d_tgt               # its smallest source occupation
+        k[n - shift, n] = (v[residual - lo] * np.exp(-1j * theta * w)) @ v[n - lo]
     return k
 
 

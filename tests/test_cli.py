@@ -204,6 +204,21 @@ class TestTransferCommand:
         _, _, rows = read_csv(out)
         assert float(rows[0].split(",")[3]) == 1.0
 
+    def test_huge_thermal_occupation_gives_uniform_phonon(self, tmp_path):
+        # q = nbar / (1 + nbar) rounds to 1: the truncated thermal phonon
+        # is uniform over the basis, not 0/0
+        cells = []
+        for nbar in (0.0, 1e17):
+            path = write_config(tmp_path, f"phonon_thermal_occupation = {nbar!r}\n")
+            out = tmp_path / "t.csv"
+            assert cli.main(["transfer", path, "--out", str(out)]) == 0
+            _, _, rows = read_csv(out)
+            cells.append(float(rows[0].split(",")[4]))
+        cold, hot = cells
+        assert math.isfinite(hot)
+        assert 0.0 < hot < cold
+        assert hot == pytest.approx(0.0135, abs=5e-5)
+
     def test_stdout_payload(self, capsysbinary):
         assert cli.main(["transfer"]) == 0
         data = capsysbinary.readouterr().out

@@ -16,6 +16,7 @@ from magnomech.fock import TruncationLeakError
 from magnomech.protocol import InitialState, ScenarioError
 
 TWO_PI = 2.0 * math.pi
+MIXED_TABLE = [[0.55, 0.1, 0.0], [0.1, 0.30, 0.0], [0.0, 0.0, 0.15]]
 
 
 def transfer_scenario(**kw):
@@ -68,7 +69,7 @@ class TestInitialState:
 
     def test_pure_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            InitialState.pure([1.0, 1.0])
+            InitialState("x", ket=[1.0, 1.0])
 
     def test_exactly_one_of_ket_and_table(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -78,13 +79,13 @@ class TestInitialState:
 
     def test_table_validation(self):
         with pytest.raises(ValueError, match="square"):
-            InitialState.from_table(np.ones((2, 3)))
+            InitialState("x", table=np.ones((2, 3)))
         with pytest.raises(ValueError, match="Hermitian"):
-            InitialState.from_table([[0.5, 0.5j], [0.5j, 0.5]])
+            InitialState("x", table=[[0.5, 0.5j], [0.5j, 0.5]])
         with pytest.raises(ValueError, match="unit trace"):
-            InitialState.from_table(np.eye(2))
+            InitialState("x", table=np.eye(2))
         with pytest.raises(ValueError, match="positive semidefinite"):
-            InitialState.from_table([[1.5, 0.0], [0.0, -0.5]])
+            InitialState("x", table=[[1.5, 0.0], [0.0, -0.5]])
 
     def test_density_embedding(self):
         s = InitialState.superposition()
@@ -99,7 +100,7 @@ class TestInitialState:
             InitialState.fock(5).density(4)
 
     def test_target_ket_none_for_tables(self):
-        mixed = InitialState.from_table(np.diag([0.5, 0.5]))
+        mixed = InitialState("mixed", table=np.diag([0.5, 0.5]))
         assert mixed.target_ket(4) is None
         assert not mixed.is_pure
         assert mixed.min_dim == 2
@@ -188,7 +189,7 @@ class TestRunTransfer:
         InitialState.fock(0),
         InitialState.fock(2),
         InitialState.superposition(),
-        InitialState.pure([0.6, 0.0, 0.8j], label="zero-two"),
+        InitialState("zero-two", ket=[0.6, 0.0, 0.8j]),
     ])
     def test_engine_matches_closed_form_matrix(self, state):
         sc = transfer_scenario(initial_states=(state,))
@@ -200,8 +201,7 @@ class TestRunTransfer:
                                    atol=1e-12)
 
     def test_engine_matches_closed_form_for_mixed_table(self):
-        state = InitialState.from_table(
-            [[0.55, 0.1, 0.0], [0.1, 0.30, 0.0], [0.0, 0.0, 0.15]])
+        state = InitialState("table", table=MIXED_TABLE)
         sc = transfer_scenario(initial_states=(state,))
         rep = protocol.run_transfer(sc)
         assert rep.fidelity_engine is None
@@ -243,6 +243,65 @@ class TestRunTransfer:
         assert any("thermal" in w for w in warm.warnings)
         assert warm.fidelity_engine < cold.fidelity_engine
 
+    @pytest.mark.parametrize("state", [
+        InitialState.fock(0),
+        InitialState.fock(1),
+        InitialState.fock(2),
+        InitialState.superposition(),
+        InitialState("zero-two", ket=[0.6, 0.0, 0.8j]),
+        InitialState("table", table=MIXED_TABLE),
+    ], ids=lambda s: s.label)
+    @pytest.mark.parametrize("d", [3, 12])
+    @pytest.mark.parametrize("nbar", [0.0, 0.2])
+    @pytest.mark.parametrize("length_km", [1.0, 10.0])
+    def test_matches_two_mode_density_matrix_chain(self, state, d, nbar,
+                                                   length_km):
+        sc = dataclasses.replace(
+            transfer_scenario(fiber_length_km=length_km, truncation=d,
+                              initial_states=(state,)),
+            phonon_thermal_occupation=nbar)
+        rep = protocol.run_transfer(sc)
+        # reference: tensor, swap, condition or trace, on the pair space
+        q = nbar / (1.0 + nbar)
+        p = (1.0 - q) * q ** np.arange(d)
+        phonon = fock.FockDensityMatrix((d,), np.diag(p / p.sum()))
+
+        def swap(rho, partner, efficiency):
+            return propagators.apply_antistokes_swap(
+                fock.tensor(rho, partner), 0, 1, efficiency)
+
+        stage = swap(state.density(d), fock.vacuum((d,)),
+                     rep.swap_in.efficiency)
+        pulses = [channels.apply_loss(pulse, 0, rep.transmittance)
+                  for pulse in (fock.condition_on_vacuum(stage, 0),
+                                fock.partial_trace(stage, 0))]
+        branch = fock.condition_on_vacuum(
+            swap(pulses[0], phonon, rep.swap_out.efficiency), 0)
+        traced = fock.partial_trace(
+            swap(pulses[1], phonon, rep.swap_out.efficiency), 0)
+        branch = fock.apply_phase_rotation(branch, 0, math.pi)
+        np.testing.assert_allclose(rep.phonon_state.matrix, branch.matrix,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.phonon_state_traced.matrix,
+                                   traced.matrix, rtol=0, atol=1e-12)
+
+    def test_builds_no_two_mode_state(self, monkeypatch):
+        sizes = []
+        init = fock.FockDensityMatrix.__init__
+
+        def recorded(self, dims, matrix):
+            init(self, dims, matrix)
+            sizes.append(self.dims.size)
+
+        monkeypatch.setattr(fock.FockDensityMatrix, "__init__", recorded)
+        state = InitialState("table", table=MIXED_TABLE)
+        sc = dataclasses.replace(
+            transfer_scenario(fiber_length_km=10.0, initial_states=(state,)),
+            phonon_thermal_occupation=0.2)
+        protocol.run_transfer(sc)
+        assert sizes
+        assert max(sizes) == sc.truncation == 12
+
     def test_truncation_too_small_for_state(self):
         sc = transfer_scenario(initial_states=(InitialState.fock(15),))
         with pytest.raises(ScenarioError, match="needs at least"):
@@ -258,7 +317,7 @@ class TestRunTransfer:
 
 class TestClosedFormTransfer:
     def test_lossless_full_swaps_are_identity(self):
-        state = InitialState.pure([0.6, 0.8j], label="probe")
+        state = InitialState("probe", ket=[0.6, 0.8j])
         out = protocol.closed_form_transfer(state, 1.0, 1.0, 1.0)
         np.testing.assert_allclose(out.matrix, state.coefficient_table(),
                                    atol=1e-15)
@@ -284,17 +343,21 @@ class TestClosedFormTransfer:
 
 class TestSwapVacuumContraction:
     @pytest.mark.parametrize("efficiency", [0.0, 0.37, 1.0])
-    @pytest.mark.parametrize("residual", [0, 1, 5])
-    def test_matches_dense_beamsplitter(self, efficiency, residual):
+    # the vacuum-target cases keep their short ids
+    @pytest.mark.parametrize("residual, occupied", [
+        pytest.param(m, k, id=str(m) if k == 0 else f"{m}-occupied{k}")
+        for k in (0, 2) for m in (0, 1, 5)])
+    def test_matches_dense_beamsplitter(self, efficiency, residual, occupied):
         d = 6
-        k = protocol._swap_vacuum_contraction(d, d, efficiency, residual)
+        k = protocol._swap_vacuum_contraction(d, d, efficiency, residual,
+                                              occupied)
         u = fock.two_mode_unitary(d, d, "beamsplitter",
                                   math.asin(math.sqrt(efficiency)))
-        # K[M, n] = <residual, M| U |n, 0>
-        expect = u[residual * d:(residual + 1) * d, ::d]
+        # K[M, n] = <residual, M| U |n, occupied>
+        expect = u[residual * d:(residual + 1) * d, occupied::d]
         np.testing.assert_allclose(k, expect, rtol=0, atol=1e-13)
         m, n = np.indices(k.shape)
-        assert not np.any(k[m != n - residual])
+        assert not np.any(k[m != n + occupied - residual])
 
 
 class TestRunEntanglement:
