@@ -6,25 +6,26 @@ pipeline reports (there it reads as the success probability of a perfect
 transfer).
 
 Logarithmic negativity E_N = ln || rho^(T_B) ||_1 (natural log, clamped at
-zero) comes in two Fock-basis routes and a Gaussian route.  Mixed states go
-through partial transposition.  A state block-diagonal in n_0 - n_1 (as
-every state of the entanglement pipeline is) has a partial transpose
-block-diagonal in the total number n_0 + n_1.  When the measured
-off-block elements are at most 1e-14, the trace norm is summed over those
-blocks (59 blocks of at most 30 at truncation 30) instead of taken from
-one d^2 x d^2 eigensolve; any other state takes the dense solve.  A pure
-two-mode ket takes the Schmidt route, E_N = 2 ln sum_i s_i over the
-singular values s_i of its amplitude matrix (Vidal & Werner, PRA 65,
-032314, 2002), with no density matrix built.  The Gaussian route uses the
-symplectic eigenvalues of a partially transposed covariance matrix.
-Covariance conventions: x = a + a^dag, p = -i(a - a^dag), vacuum
-covariance = identity; the symplectic form is block-diagonal
-[[0, 1], [-1, 0]].
+zero) comes in three Fock-basis routes and a Gaussian route.  A mixed
+state given as a dense density matrix goes through one partial transpose
+and one d^2 x d^2 eigensolve; this is the reference route.  A mixed
+two-mode state carried as its n_0 - n_1 sector blocks (as every mixed
+state of the entanglement pipeline is) has a partial transpose
+block-diagonal in the total number n_0 + n_1, so the trace norm is summed
+over those blocks (59 blocks of at most 30 at truncation 30) with no
+d^2 x d^2 matrix formed.  A pure two-mode ket takes the Schmidt route,
+E_N = 2 ln sum_i s_i over the singular values s_i of its amplitude matrix
+(Vidal & Werner, PRA 65, 032314, 2002), with no density matrix built.
+The Gaussian route uses the symplectic eigenvalues of a partially
+transposed covariance matrix.  Covariance conventions: x = a + a^dag,
+p = -i(a - a^dag), vacuum covariance = identity; the symplectic form is
+block-diagonal [[0, 1], [-1, 0]].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,11 +34,6 @@ from . import fock
 FIDELITY_DEFINITIONS = ("pure_target_overlap",)
 NEGATIVITY_METHODS = ("fock_ppt", "fock_schmidt", "gaussian_symplectic",
                       "closed_form")
-# largest off-block |element| of a two-mode partial transpose that still
-# takes the block route of log_negativity_fock
-_OFF_BLOCK_TOL = 1e-14
-# rows per block of the off-block scan (64 x 900 temporaries at d = 30)
-_OFF_BLOCK_SCAN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -71,39 +67,45 @@ def _trace_norm(h: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(h)).sum())
 
 
-def _total_number_blocks(dims: fock.ModeDims, pt: np.ndarray):
-    """Index sets of the n_0 + n_1 blocks of a two-mode partial transpose.
-
-    None when the state has other than two modes, or when some element
-    of ``pt`` off those blocks exceeds _OFF_BLOCK_TOL; the scan runs in
-    row blocks, so no full-size temporary is built.
-    """
-    if dims.n_modes != 2:
-        return None
-    d0, d1 = dims.dims
-    total = np.add.outer(np.arange(d0), np.arange(d1)).reshape(-1)
-    for start in range(0, total.size, _OFF_BLOCK_SCAN_ROWS):
-        rows = slice(start, start + _OFF_BLOCK_SCAN_ROWS)
-        off = pt[rows][total[rows, None] != total[None, :]]
-        if off.size and float(np.abs(off).max()) > _OFF_BLOCK_TOL:
-            return None
-    return [np.flatnonzero(total == n) for n in range(d0 + d1 - 1)]
-
-
 def log_negativity_fock(rho: fock.FockDensityMatrix,
                         transpose_modes=(1,)) -> LogNegativity:
     """E_N from the trace norm of the partial transpose, clamped at 0.
 
-    When the partial transpose is block-diagonal in the total photon
-    number (every off-block element at most _OFF_BLOCK_TOL), its spectrum
-    is taken block by block; otherwise with one dense eigvalsh.
+    The spectrum comes from one dense eigvalsh of the whole partial
+    transpose, whatever the state's structure.
     """
-    pt = fock.partial_transpose(rho, transpose_modes)
-    blocks = _total_number_blocks(rho.dims, pt)
-    if blocks is None:
-        trace_norm = _trace_norm(pt)
-    else:
-        trace_norm = sum(_trace_norm(pt[np.ix_(idx, idx)]) for idx in blocks)
+    trace_norm = _trace_norm(fock.partial_transpose(rho, transpose_modes))
+    return LogNegativity(value=max(0.0, float(np.log(trace_norm))),
+                         method="fock_ppt")
+
+
+def log_negativity_sectors(blocks: Sequence[np.ndarray]) -> LogNegativity:
+    """E_N of a (d, d) two-mode state given by its n_0 - n_1 sector blocks.
+
+    ``blocks[D]`` is the (d - D) x (d - D) block of rho on the kets
+    |n, n - D>, n = D .. d - 1; sectors with n_0 < n_1, and those past the
+    end of ``blocks``, are zero.  The partial transpose on mode 1 is then
+    block-diagonal in the total number N: its element between |a, N - a>
+    and |a', N - a'> is the sector D = a + a' - N element of rho between
+    |a, a - D> and |a', a' - D>.  The trace norm is summed over the
+    2d - 1 blocks of at most d, so the value equals
+    :func:`log_negativity_fock` of the assembled state.
+    """
+    d = blocks[0].shape[0]
+    # padded[D, n, n'] = <n, n - D| rho |n', n' - D>; slab d stays zero
+    # and stands for every sector with n_0 < n_1
+    padded = np.zeros((d + 1, d, d), dtype=complex)
+    for sector, block in enumerate(blocks):
+        if block.shape != (d - sector, d - sector):
+            raise ValueError(f"sector {sector} block has shape {block.shape}, "
+                             f"expected {(d - sector, d - sector)}")
+        padded[sector, sector:, sector:] = block
+    trace_norm = 0.0
+    for total in range(2 * d - 1):
+        a = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
+        sectors = a[:, None] + a[None, :] - total
+        sectors[sectors < 0] = d
+        trace_norm += _trace_norm(padded[sectors, a[:, None], a[None, :]])
     return LogNegativity(value=max(0.0, float(np.log(trace_norm))),
                          method="fock_ppt")
 

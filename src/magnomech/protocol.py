@@ -19,8 +19,10 @@ subnormalized, so the fidelity against the target ket reads as the
 success probability of a perfect transfer and reproduces the closed-form
 values STW, (SW)^n and the superposition formula; the unconditioned
 (traced) state is reported alongside.  The entanglement protocol carries
-the two-mode state as columns of kets, and its branch is renormalized; in
-the lossless case it is exactly a two-mode squeezed vacuum with
+a pure two-mode state as one ket and a mixed one as its n_magnon -
+n_phonon sector blocks, which every Kraus and swap column respects, so no
+d^2 x d^2 matrix is formed; its branch is renormalized.  In the lossless
+case the branch is exactly a two-mode squeezed vacuum with
 tanh r' = sqrt(W) tanh r, hence E_N = 2 r'.
 
 Closed-form oracles evaluate the same quantities by scalar double sums
@@ -559,44 +561,75 @@ def _squeezed_vacuum(d: int, squeezing: float,
     return pair.amplitudes.reshape(d, d), fock.truncation_leak(pair, (0, 1))
 
 
+def _sector_columns(pair: np.ndarray, kraus: Sequence[np.ndarray],
+                    swaps: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The columns of B grouped by their sector D = n_magnon - n_phonon.
+
+    ``pair`` is the squeezed pair, diagonal (amplitudes c_i on |i, i>)
+    since the squeeze conserves n_magnon - n_pulse.  Kraus operator k
+    lowers the pulse by k and the contraction ``swaps[m]`` leaves m
+    photons behind, so their column lies in sector D = k + m.  Block D has
+    one row per magnon number i = D .. d - 1 and one column per k:
+    c_i a_k(i - k) kappa_m(i - D), with a_k and kappa_m the shifted
+    diagonals holding every nonzero element of A_k and of the contraction.
+    """
+    c = np.diagonal(pair)
+    if np.any(pair - np.diag(c)):
+        raise ValueError("squeezed pair is not diagonal in n_magnon - n_pulse")
+    d = c.size
+    a = [np.diagonal(op, offset=k) for k, op in enumerate(kraus)]
+    kappa = [np.diagonal(op, offset=m) for m, op in enumerate(swaps)]
+    blocks = []
+    for sector in range(min(d, len(a) + len(kappa) - 1)):
+        ks = range(max(0, sector - len(kappa) + 1), min(sector, len(a) - 1) + 1)
+        blocks.append(np.stack(
+            [c[sector:] * a[k][sector - k:d - k] * kappa[sector - k][:d - sector]
+             for k in ks], axis=1))
+    return blocks
+
+
+def _branch_probability(columns: Sequence[np.ndarray]) -> float:
+    prob = float(sum(np.vdot(b, b).real for b in columns))
+    if prob <= 0.0:
+        raise RuntimeError("vacuum branch has zero probability")
+    return prob
+
+
 def _entangle(psi: np.ndarray, efficiency: float, transmittance: float, *,
               traced: bool) -> _Entangled:
     """Fiber loss -> conversion swap on a squeezed pair, measured by E_N.
 
-    Each Kraus operator of the fiber loss gives one pulse ket from ``psi``
-    (at T = 1 the identity is the only one), and the conversion swap is
-    contracted onto the mechanical mode.  The columns of B are the
-    resulting [magnon, phonon] kets; the vacuum branch (no photon left in
-    the pulse mode) is renormalized.  A single-column branch is pure and
-    takes the Schmidt route; otherwise the state B B^H is measured by its
-    partial transpose.  With ``traced`` the unconditioned state, summed
-    over all residual photon numbers, is measured too (else ``en_traced``
-    is None).
+    Each Kraus operator of the fiber loss acts on the pulse of ``psi`` (at
+    T = 1 the identity is the only one), and the conversion swap is
+    contracted onto the mechanical mode, leaving m photons in the pulse.
+    Each (Kraus, m) pair gives one [magnon, phonon] ket, a column of B;
+    the vacuum branch (m = 0) is renormalized.  A single-column branch is
+    pure and takes the Schmidt route.  Otherwise the state B B^H is
+    carried as its n_magnon - n_phonon sector blocks and measured by the
+    total-number blocks of its partial transpose.  With ``traced`` the
+    unconditioned state, summed over every m, is measured too (else
+    ``en_traced`` is None).
     """
     d = psi.shape[0]
-    dims = fock.ModeDims((d, d))
-    kets = [psi @ a.T for a in channels.loss_kraus_operators(d, transmittance)]
+    kraus = channels.loss_kraus_operators(d, transmittance)
+    swaps = [_swap_vacuum_contraction(d, d, efficiency, m)
+             for m in range(d if traced else 1)]
 
-    def branches(residuals) -> np.ndarray:
-        # B: one column per Kraus ket and photon number left in the pulse
-        columns = []
-        for residual in residuals:
-            contraction = _swap_vacuum_contraction(d, d, efficiency, residual)
-            columns.extend((k @ contraction.T).reshape(-1) for k in kets)
-        return np.stack(columns, axis=1)
+    def log_negativity(columns: list[np.ndarray]) -> metrics.LogNegativity:
+        return metrics.log_negativity_sectors([b @ b.conj().T for b in columns])
 
-    def log_negativity(b: np.ndarray) -> metrics.LogNegativity:
-        if b.shape[1] == 1:
-            return metrics.log_negativity_pure(fock.FockKet(dims, b[:, 0]))
-        return metrics.log_negativity_fock(
-            fock.FockDensityMatrix(dims, b @ b.conj().T), (1,))
-
-    en_traced = log_negativity(branches(range(d))) if traced else None
-    branch = branches((0,))
-    prob = float(np.vdot(branch, branch).real)
-    if prob <= 0.0:
-        raise RuntimeError("vacuum branch has zero probability")
-    en_fock = log_negativity(branch / math.sqrt(prob))
+    en_traced = log_negativity(_sector_columns(psi, kraus, swaps)) \
+        if traced else None
+    if len(kraus) == 1:
+        # unit transmittance: the branch is one pure ket
+        ket = ((psi @ kraus[0].T) @ swaps[0].T).reshape(-1)
+        prob = _branch_probability([ket])
+        en_fock = metrics.log_negativity_pure(
+            fock.FockKet(fock.ModeDims((d, d)), ket / math.sqrt(prob)))
+    else:
+        branch = _sector_columns(psi, kraus, swaps[:1])
+        prob = _branch_probability(branch)
+        en_fock = log_negativity([b / math.sqrt(prob) for b in branch])
     return _Entangled(prob, en_fock, en_traced)
 
 

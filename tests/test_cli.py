@@ -273,6 +273,8 @@ class TestEntangleCommand:
                          str(tmp_path / "lossy.csv")]) == 0
         assert cli.main(["entangle", "--out",
                          str(tmp_path / "lossless.csv")]) == 0
+        assert read_csv(tmp_path / "lossy.csv")[1:] == \
+            read_csv(tmp_path / "lossless.csv")[1:]
         lossy, lossless = reports
         assert lossy.transmittance == 1.0
         assert lossless.transmittance == 1.0
@@ -282,6 +284,29 @@ class TestEntangleCommand:
                 assert a.method == b.method
                 a, b = a.value, b.value
             assert abs(a - b) <= 1e-12, field
+
+    def test_opaque_fiber_leaves_no_entanglement(self, tmp_path,
+                                                monkeypatch):
+        # 2000 km at 0.2 dB/km: T = 1e-40, so the pulse never arrives
+        reports = []
+        run = protocol.run_entanglement
+
+        def recording(scenario):
+            reports.append(run(scenario))
+            return reports[-1]
+
+        monkeypatch.setattr(protocol, "run_entanglement", recording)
+        path = write_config(tmp_path, "include_loss_in_entanglement = true\n"
+                                      "fiber_length_km = 2000\n")
+        out = tmp_path / "e.csv"
+        assert cli.main(["entangle", path, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0].split(",")[3]) == 0.0
+        rep, = reports
+        assert rep.transmittance == pytest.approx(1e-40, rel=1e-12)
+        assert rep.en_fock.value == 0.0
+        assert rep.en_traced.value <= 1e-12
+        assert abs(rep.branch_probability - 1.0) <= 1e-12
 
     def test_truncation_leak_exit_code(self, tmp_path, capsys):
         # r = 1.2 pulse cannot fit in 8 levels per mode

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from magnomech import fock, metrics, protocol
+from magnomech import channels, fock, metrics, protocol
 
 
 def tmsv_table(d, r):
@@ -90,33 +90,63 @@ def dense_log_negativity(rho):
     return math.log(float(np.abs(np.linalg.eigvalsh(pt)).sum()))
 
 
+def dense_entangle_states(d, squeezing, efficiency, transmittance):
+    """The branch (renormalized) and traced states of the lossy chain as
+    dense rho = B B^H, with B built column by column from the Kraus
+    operators and the swap contractions; also the branch probability."""
+    psi, _ = protocol._squeezed_vacuum(d, squeezing,
+                                       protocol.SQUEEZE_LEAK_BUDGET)
+    kets = [psi @ a.T for a in channels.loss_kraus_operators(d, transmittance)]
+    columns = [[(k @ protocol._swap_vacuum_contraction(
+                    d, d, efficiency, m).T).reshape(-1) for k in kets]
+               for m in range(d)]
+    dims = fock.ModeDims((d, d))
+    branch = np.stack(columns[0], axis=1)
+    prob = float(np.vdot(branch, branch).real)
+    traced = np.stack([c for cols in columns for c in cols], axis=1)
+    return (fock.FockDensityMatrix(dims, branch @ branch.conj().T / prob),
+            fock.FockDensityMatrix(dims, traced @ traced.conj().T), prob)
+
+
 class TestBlockRoute:
-    """Which partial-transpose route log_negativity_fock takes, and its value."""
+    """The sector-block route, log_negativity_sectors, against the dense
+    reference log_negativity_fock."""
 
     def test_lossy_entangle_state_takes_block_route(self, monkeypatch,
                                                     eigvalsh_sizes):
-        measured = []
-        route = metrics.log_negativity_fock
+        solves = []   # eigvalsh sizes of each log_negativity_sectors call
+        route = metrics.log_negativity_sectors
 
-        def recording(rho, transpose_modes=(1,)):
+        def recording(blocks):
             start = len(eigvalsh_sizes)
-            en = route(rho, transpose_modes)
-            measured.append((rho, en, eigvalsh_sizes[start:]))
+            en = route(blocks)
+            solves.append(eigvalsh_sizes[start:])
             return en
 
-        monkeypatch.setattr(metrics, "log_negativity_fock", recording)
-        sc = protocol.default_entanglement_scenario()
-        sc = dataclasses.replace(
-            sc, include_loss_in_entanglement=True,
-            fiber=dataclasses.replace(sc.fiber, length_km=10.0))
-        rep = protocol.run_entanglement(sc)
-        assert rep.en_fock.value == pytest.approx(0.536333486507, rel=1e-11)
-        assert len(measured) == 2          # the traced state and the branch
-        for rho, en, sizes in measured:
-            d = rho.dims.dims[0]
-            assert len(sizes) == 2 * d - 1 and max(sizes) == d
-            assert abs(en.value - dense_log_negativity(rho)) <= 1e-12
-            assert en.method == "fock_ppt"
+        monkeypatch.setattr(metrics, "log_negativity_sectors", recording)
+        for d in (12, 30):
+            for length_km in (1.0, 10.0):
+                sc = protocol.default_entanglement_scenario(truncation=d)
+                sc = dataclasses.replace(
+                    sc, include_loss_in_entanglement=True,
+                    fiber=dataclasses.replace(sc.fiber, length_km=length_km))
+                solves.clear()
+                rep = protocol.run_entanglement(sc)
+                # the traced state and the branch: 2d - 1 blocks of <= d each
+                assert [len(s) for s in solves] == [2 * d - 1] * 2
+                assert max(max(s) for s in solves) == d
+                branch, traced, prob = dense_entangle_states(
+                    d, rep.squeezing, rep.efficiency, rep.transmittance)
+                case = f"d = {d}, {length_km} km"
+                assert abs(rep.en_fock.value - metrics.log_negativity_fock(
+                    branch).value) <= 1e-12, case
+                assert abs(rep.en_traced.value - metrics.log_negativity_fock(
+                    traced).value) <= 1e-12, case
+                assert abs(rep.branch_probability - prob) <= 1e-12, case
+                assert rep.en_fock.method == rep.en_traced.method == "fock_ppt"
+                if (d, length_km) == (30, 10.0):
+                    assert rep.en_fock.value == pytest.approx(0.536333486507,
+                                                              rel=1e-11)
 
     def test_random_mixed_state_takes_dense_route(self, eigvalsh_sizes):
         # criterion 9's construction: a random mixture of random kets
@@ -134,37 +164,35 @@ class TestBlockRoute:
                                          abs=1e-12)
 
     @staticmethod
-    def sector_diagonal_state(d, coherence):
-        """Mixture of a |n, n> and a |n + 1, n> superposition, plus a
-        coherence between |0, 0> and |1, 0> (different n_0 - n_1)."""
-        dims = fock.ModeDims((d, d))
+    def sector_diagonal_state(d):
+        """Mixture of a |n, n> and a |n + 1, n> superposition, as its
+        sector blocks D = n_0 - n_1 = 0, 1 and as a dense state."""
         lam = 0.5
-        same = np.zeros(d * d, dtype=complex)
-        shifted = np.zeros(d * d, dtype=complex)
-        for n in range(d - 1):
-            same[dims.flat_index((n, n))] = lam**n
-            shifted[dims.flat_index((n + 1, n))] = (0.3j * lam) ** n
+        same = lam ** np.arange(d, dtype=complex)
+        shifted = (0.3j * lam) ** np.arange(d - 1)
         same /= np.linalg.norm(same)
         shifted /= np.linalg.norm(shifted)
-        m = 0.7 * np.outer(same, same.conj()) \
-            + 0.3 * np.outer(shifted, shifted.conj())
-        i, j = dims.flat_index((0, 0)), dims.flat_index((1, 0))
-        m[i, j] += coherence
-        m[j, i] += coherence
-        return fock.FockDensityMatrix(dims, m)
+        blocks = [0.7 * np.outer(same, same.conj()),
+                  0.3 * np.outer(shifted, shifted.conj())]
+        dims = fock.ModeDims((d, d))
+        m = np.zeros((d * d, d * d), dtype=complex)
+        for sector, block in enumerate(blocks):
+            idx = [dims.flat_index((n, n - sector)) for n in range(sector, d)]
+            m[np.ix_(idx, idx)] += block
+        return blocks, fock.FockDensityMatrix(dims, m)
 
     def test_sector_diagonal_state_takes_block_route(self, eigvalsh_sizes):
-        rho = self.sector_diagonal_state(6, 0.0)
-        en = metrics.log_negativity_fock(rho, (1,))
+        blocks, rho = self.sector_diagonal_state(6)
+        en = metrics.log_negativity_sectors(blocks)
         assert len(eigvalsh_sizes) == 11 and max(eigvalsh_sizes) == 6
         assert en.value > 0.1
+        assert en.method == "fock_ppt"
         assert abs(en.value - dense_log_negativity(rho)) <= 1e-12
 
-    def test_off_block_coherence_takes_dense_route(self, eigvalsh_sizes):
-        rho = self.sector_diagonal_state(6, 1e-12)
-        en = metrics.log_negativity_fock(rho, (1,))
-        assert eigvalsh_sizes == [36]
-        assert abs(en.value - dense_log_negativity(rho)) <= 1e-12
+    def test_rejects_misshapen_blocks(self):
+        blocks, _ = self.sector_diagonal_state(6)
+        with pytest.raises(ValueError, match="sector 1 block"):
+            metrics.log_negativity_sectors([blocks[0], blocks[0]])
 
 
 class TestPureNegativity:

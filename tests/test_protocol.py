@@ -410,6 +410,32 @@ class TestRunEntanglement:
         # form's pure-state estimate
         assert rep.en_fock.value < rep.en_closed.value
 
+    def test_lossy_run_builds_no_two_mode_state(self, monkeypatch):
+        # the mixed states are carried as sector blocks: no dense density
+        # matrix, partial transpose or d^2 x d^2 eigensolve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense two-mode route taken")
+
+        monkeypatch.setattr(fock.FockDensityMatrix, "__init__", forbidden)
+        monkeypatch.setattr(metrics, "log_negativity_fock", forbidden)
+        monkeypatch.setattr(fock, "partial_transpose", forbidden)
+        sc = protocol.default_entanglement_scenario()
+        sc = dataclasses.replace(
+            sc, include_loss_in_entanglement=True,
+            fiber=dataclasses.replace(sc.fiber, length_km=10.0))
+        rep = protocol.run_entanglement(sc)
+        assert rep.truncation == 30
+        assert rep.en_fock.value == pytest.approx(0.536333486507, rel=1e-11)
+
+    def test_sector_route_needs_a_diagonal_pair(self):
+        psi, _ = protocol._squeezed_vacuum(6, 0.3, 1e-2)
+        assert protocol._entangle(psi, 0.9, 0.8,
+                                  traced=True).en_traced.method == "fock_ppt"
+        psi = psi.copy()
+        psi[1, 0] = 1e-300
+        with pytest.raises(ValueError, match="not diagonal"):
+            protocol._entangle(psi, 0.9, 0.8, traced=True)
+
     def test_effective_squeezing_matches_metric(self):
         rep = protocol.run_entanglement(protocol.default_entanglement_scenario())
         assert rep.effective_squeezing == pytest.approx(
