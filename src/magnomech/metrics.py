@@ -9,11 +9,13 @@ Logarithmic negativity E_N = ln || rho^(T_B) ||_1 (natural log, clamped at
 zero) comes in three Fock-basis routes and a Gaussian route.  A mixed
 state given as a dense density matrix goes through one partial transpose
 and one d^2 x d^2 eigensolve; this is the reference route.  A mixed
-two-mode state carried as its n_0 - n_1 sector blocks (as every mixed
-state of the entanglement pipeline is) has a partial transpose
-block-diagonal in the total number n_0 + n_1, so the trace norm is summed
-over those blocks (59 blocks of at most 30 at truncation 30) with no
-d^2 x d^2 matrix formed.  A pure two-mode ket takes the Schmidt route,
+two-mode state given as the (d + 1, d, d) stack of its n_0 - n_1 sector
+blocks (as every mixed state of the entanglement pipeline is) has a
+partial transpose block-diagonal in the total number n_0 + n_1, so the
+trace norm is summed over those blocks (59 blocks of at most 30 at
+truncation 30) with no d^2 x d^2 matrix formed; one reality test on the
+whole stack picks the real or the complex solver for all of them.  A
+pure two-mode ket takes the Schmidt route,
 E_N = 2 ln sum_i s_i over the singular values s_i of its amplitude matrix
 (Vidal & Werner, PRA 65, 032314, 2002), with no density matrix built.
 The Gaussian route uses the symplectic eigenvalues of a partially
@@ -25,7 +27,6 @@ block-diagonal [[0, 1], [-1, 0]].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -57,13 +58,18 @@ def fidelity_pure_target(target: fock.FockKet, rho: fock.FockDensityMatrix) -> F
     return Fidelity(value=max(0.0, val), definition="pure_target_overlap")
 
 
-def _trace_norm(h: np.ndarray) -> float:
-    """Sum of |eigenvalues| of a Hermitian matrix."""
+def _real_if_close(h: np.ndarray) -> np.ndarray:
+    """The real part of h when its imaginary part is roundoff, else h."""
     # phase-free states give a real matrix up to roundoff; the real
     # symmetric solver is ~3x faster and the discarded part is far below
     # any tolerance used on this number
     if float(np.max(np.abs(h.imag))) <= 1e-14 * max(1.0, float(np.max(np.abs(h.real)))):
-        h = np.ascontiguousarray(h.real)
+        return np.ascontiguousarray(h.real)
+    return h
+
+
+def _trace_norm(h: np.ndarray) -> float:
+    """Sum of |eigenvalues| of a Hermitian matrix."""
     return float(np.abs(np.linalg.eigvalsh(h)).sum())
 
 
@@ -74,38 +80,37 @@ def log_negativity_fock(rho: fock.FockDensityMatrix,
     The spectrum comes from one dense eigvalsh of the whole partial
     transpose, whatever the state's structure.
     """
-    trace_norm = _trace_norm(fock.partial_transpose(rho, transpose_modes))
+    trace_norm = _trace_norm(_real_if_close(
+        fock.partial_transpose(rho, transpose_modes)))
     return LogNegativity(value=max(0.0, float(np.log(trace_norm))),
                          method="fock_ppt")
 
 
-def log_negativity_sectors(blocks: Sequence[np.ndarray]) -> LogNegativity:
-    """E_N of a (d, d) two-mode state given by its n_0 - n_1 sector blocks.
+def log_negativity_sectors(stack: np.ndarray) -> LogNegativity:
+    """E_N of a (d, d) two-mode state given as its stacked n_0 - n_1 blocks.
 
-    ``blocks[D]`` is the (d - D) x (d - D) block of rho on the kets
-    |n, n - D>, n = D .. d - 1; sectors with n_0 < n_1, and those past the
-    end of ``blocks``, are zero.  The partial transpose on mode 1 is then
-    block-diagonal in the total number N: its element between |a, N - a>
-    and |a', N - a'> is the sector D = a + a' - N element of rho between
-    |a, a - D> and |a', a' - D>.  The trace norm is summed over the
-    2d - 1 blocks of at most d, so the value equals
-    :func:`log_negativity_fock` of the assembled state.
+    ``stack`` has shape (d + 1, d, d): ``stack[D, n, n']`` is
+    <n, n - D| rho |n', n' - D> for D = 0 .. d - 1, zero where n or n' is
+    below D, and slab d is zero, standing for every sector with
+    n_0 < n_1.  The partial transpose on mode 1 is then block-diagonal in
+    the total number N: its element between |a, N - a> and |a', N - a'>
+    is the sector D = a + a' - N element of rho between |a, a - D> and
+    |a', a' - D>.  One reality test on the whole stack picks the real or
+    the complex solver; the trace norm is summed over the 2d - 1 blocks
+    of at most d, so the value equals :func:`log_negativity_fock` of the
+    assembled state.
     """
-    d = blocks[0].shape[0]
-    # padded[D, n, n'] = <n, n - D| rho |n', n' - D>; slab d stays zero
-    # and stands for every sector with n_0 < n_1
-    padded = np.zeros((d + 1, d, d), dtype=complex)
-    for sector, block in enumerate(blocks):
-        if block.shape != (d - sector, d - sector):
-            raise ValueError(f"sector {sector} block has shape {block.shape}, "
-                             f"expected {(d - sector, d - sector)}")
-        padded[sector, sector:, sector:] = block
+    d = stack.shape[-1]
+    if stack.shape != (d + 1, d, d):
+        raise ValueError(f"sector stack has shape {stack.shape}, "
+                         f"expected {(d + 1, d, d)}")
+    stack = _real_if_close(stack)
     trace_norm = 0.0
     for total in range(2 * d - 1):
         a = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
         sectors = a[:, None] + a[None, :] - total
         sectors[sectors < 0] = d
-        trace_norm += _trace_norm(padded[sectors, a[:, None], a[None, :]])
+        trace_norm += _trace_norm(stack[sectors, a[:, None], a[None, :]])
     return LogNegativity(value=max(0.0, float(np.log(trace_norm))),
                          method="fock_ppt")
 

@@ -12,18 +12,20 @@ Two protocols are implemented on the truncated Fock engine:
 
 Both pipelines condition the intermediate mode on vacuum after each swap
 and carry the resulting branch state.  Every swap is one contraction
-<m, .| U_bs |., k> of the beamsplitter, so no swap forms a two-mode state.
-The transfer protocol carries a single-mode d x d density matrix through
-three Kraus channels: swap in, fiber loss, swap out.  Its branch is kept
-subnormalized, so the fidelity against the target ket reads as the
-success probability of a perfect transfer and reproduces the closed-form
-values STW, (SW)^n and the superposition formula; the unconditioned
-(traced) state is reported alongside.  The entanglement protocol carries
-a pure two-mode state as one ket and a mixed one as its n_magnon -
-n_phonon sector blocks, which every Kraus and swap column respects, so no
-d^2 x d^2 matrix is formed; its branch is renormalized.  In the lossless
-case the branch is exactly a two-mode squeezed vacuum with
-tanh r' = sqrt(W) tanh r, hence E_N = 2 r'.
+<m, .| U_bs |., k> of the beamsplitter, so no swap forms a two-mode state;
+each is zero off one shifted diagonal, and one kernel call returns those
+diagonals for every residual m at once.  The transfer protocol carries a
+single-mode d x d density matrix through three Kraus channels: swap in,
+fiber loss, swap out.  Its branch is kept subnormalized, so the fidelity
+against the target ket reads as the success probability of a perfect
+transfer and reproduces the closed-form values STW, (SW)^n and the
+superposition formula; the unconditioned (traced) state is reported
+alongside.  The entanglement protocol carries a pure two-mode state as
+one ket and builds a mixed one straight into a (d + 1, d, d) stack of its
+n_magnon - n_phonon sector blocks, which every Kraus and swap column
+respects, so no d^2 x d^2 matrix is formed; its branch is renormalized.
+In the lossless case the branch is exactly a two-mode squeezed vacuum
+with tanh r' = sqrt(W) tanh r, hence E_N = 2 r'.
 
 Closed-form oracles evaluate the same quantities by scalar double sums
 with no Fock-space machinery, giving an independent check of the engine.
@@ -390,26 +392,25 @@ def run_transfer(scenario: ScenarioConfig,
         warnings = warnings + (
             "phonon starts thermal; closed-form fidelity assumes ground state",)
 
-    swap_in = [_swap_vacuum_contraction(d, d, s_eff.efficiency, m)
-               for m in range(d)]
+    swap_in = _swap_contractions(d, d, s_eff.efficiency, d)
     fiber = channels.loss_kraus_operators(d, t_fiber)
     # truncated geometric phonon distribution, renormalized to unit trace
     q = nbar / (1.0 + nbar)
     weights = q ** np.arange(d)
     weights /= weights.sum()
-    swap_out = [[math.sqrt(p) * _swap_vacuum_contraction(
-                     d, d, w_eff.efficiency, m, k)
-                 for k, p in enumerate(weights) if p > 0.0]
-                for m in range(d)]
+    # one stack per phonon level k of nonzero weight, indexed by m
+    swap_out = [math.sqrt(p) * _swap_contractions(d, d, w_eff.efficiency, d, k)
+                for k, p in enumerate(weights) if p > 0.0]
 
     rho_m = state.density(d).matrix
     pulse_branch = _apply_kraus(_apply_kraus(rho_m, swap_in[:1]), fiber)
     pulse_traced = _apply_kraus(_apply_kraus(rho_m, swap_in), fiber)
     dims = fock.ModeDims((d,))
     phonon_branch = fock.FockDensityMatrix(
-        dims, _apply_kraus(pulse_branch, swap_out[0]))
+        dims, _apply_kraus(pulse_branch, [ops[0] for ops in swap_out]))
     phonon_traced = fock.FockDensityMatrix(
-        dims, _apply_kraus(pulse_traced, [a for ops in swap_out for a in ops]))
+        dims, _apply_kraus(pulse_traced,
+                           [ops[m] for m in range(d) for ops in swap_out]))
 
     # each swap stamps -i per transferred excitation; undo both at once
     compensated = fock.apply_phase_rotation(phonon_branch, 0, math.pi)
@@ -499,28 +500,57 @@ def closed_form_transfer(state: InitialState, swap_in: float,
     return ClosedFormTransfer(fidelity=fidelity, matrix=out)
 
 
-def _swap_vacuum_contraction(d_src: int, d_tgt: int, efficiency: float,
-                             residual: int = 0, occupied: int = 0) -> np.ndarray:
-    """K[M, n] = <residual, M| U_bs |n, occupied> for the partial swap src -> tgt.
+def _contraction_diagonals(d_src: int, d_tgt: int, efficiency: float,
+                           rows: int, occupied: int = 0) -> np.ndarray:
+    """kappa[m, n] = <m, n + occupied - m| U_bs |n, occupied> for every m < rows.
 
-    The beamsplitter conserves the total photon number, so |n, occupied>
-    only reaches |residual, n + occupied - residual>: K is zero off that
-    shifted diagonal.  Each entry is one element of the sector
-    n + occupied block V e^{-i theta w} V^T of the cached sector
-    eigensystem.  ``residual`` selects how many photons stay behind in the
-    source mode, ``occupied`` how many the target mode holds before the
-    swap.
+    Row m is the one nonzero diagonal of the partial swap src -> tgt that
+    leaves m photons in the source while the target starts in |occupied>;
+    it is zero where n + occupied - m falls outside the target.  The
+    beamsplitter conserves the total photon number, so every element for
+    input n lies in the sector n + occupied of the cached eigensystem and
+    comes from one matvec of its first rows of V e^{-i theta w} V^T with
+    the column of |n, occupied>.  Only rows 0 .. rows - 1 are computed.
     """
     theta = math.asin(math.sqrt(float(efficiency)))
     sectors = fock.pair_generator_eigensystem(int(d_src), int(d_tgt),
                                               "beamsplitter")
-    shift = residual - occupied
-    k = np.zeros((d_tgt, d_src), dtype=complex)
-    for n in range(max(0, shift), min(d_src, shift + d_tgt)):
+    kappa = np.zeros((rows, d_src), dtype=complex)
+    for n in range(d_src):
         idx, w, v = sectors[n + occupied]  # the sector n_src + n_tgt
-        lo = idx[0] // d_tgt               # its smallest source occupation
-        k[n - shift, n] = (v[residual - lo] * np.exp(-1j * theta * w)) @ v[n - lo]
+        lo = int(idx[0]) // d_tgt          # its smallest source occupation
+        if lo >= rows:
+            break                          # lo never falls as n grows
+        col = np.dot(v[:rows - lo], np.exp(-1j * theta * w) * v[n - lo])
+        kappa[lo:lo + col.size, n] = col
+    return kappa
+
+
+def _swap_contractions(d_src: int, d_tgt: int, efficiency: float, rows: int,
+                       occupied: int = 0) -> np.ndarray:
+    """K[m][M, n] = <m, M| U_bs |n, occupied> for every m < rows.
+
+    Each row of :func:`_contraction_diagonals` placed on its shifted
+    diagonal M = n + occupied - m of a d_tgt x d_src matrix.
+    """
+    kappa = _contraction_diagonals(d_src, d_tgt, efficiency, rows, occupied)
+    k = np.zeros((rows, d_tgt, d_src), dtype=complex)
+    for m in range(rows):
+        block = k[m, max(0, occupied - m):, max(0, m - occupied):]
+        np.fill_diagonal(block, kappa[m, max(0, m - occupied):][:min(block.shape)])
     return k
+
+
+def _swap_vacuum_contraction(d_src: int, d_tgt: int, efficiency: float,
+                             residual: int = 0, occupied: int = 0) -> np.ndarray:
+    """K[M, n] = <residual, M| U_bs |n, occupied> for the partial swap src -> tgt.
+
+    ``residual`` selects how many photons stay behind in the source mode,
+    ``occupied`` how many the target mode holds before the swap; K is zero
+    off the diagonal M = n + occupied - residual.
+    """
+    return _swap_contractions(d_src, d_tgt, efficiency, residual + 1,
+                              occupied)[residual]
 
 
 @dataclass(eq=False)
@@ -561,35 +591,40 @@ def _squeezed_vacuum(d: int, squeezing: float,
     return pair.amplitudes.reshape(d, d), fock.truncation_leak(pair, (0, 1))
 
 
-def _sector_columns(pair: np.ndarray, kraus: Sequence[np.ndarray],
-                    swaps: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The columns of B grouped by their sector D = n_magnon - n_phonon.
+def _sector_stack(pair: np.ndarray, kraus: Sequence[np.ndarray],
+                  kappa: np.ndarray) -> np.ndarray:
+    """rho = B B^H stacked by sector: stack[D, i, i'] = <i, i - D|rho|i', i' - D>.
 
     ``pair`` is the squeezed pair, diagonal (amplitudes c_i on |i, i>)
     since the squeeze conserves n_magnon - n_pulse.  Kraus operator k
-    lowers the pulse by k and the contraction ``swaps[m]`` leaves m
-    photons behind, so their column lies in sector D = k + m.  Block D has
-    one row per magnon number i = D .. d - 1 and one column per k:
-    c_i a_k(i - k) kappa_m(i - D), with a_k and kappa_m the shifted
-    diagonals holding every nonzero element of A_k and of the contraction.
+    lowers the pulse by k and row m of ``kappa`` (the contraction
+    diagonals) leaves m photons behind, so their column of B lies in
+    sector D = k + m = n_magnon - n_phonon.  Block D has one row per
+    magnon number i = D .. d - 1 and one column per k:
+    B_D[i, k] = c_i a_k(i - k) kappa_{D-k}(i - k), with a_k the shifted
+    diagonal holding every nonzero element of A_k.  The (d + 1, d, d)
+    stack is the layout of :func:`metrics.log_negativity_sectors`; rows
+    i < D and slab d stay zero.
     """
     c = np.diagonal(pair)
     if np.any(pair - np.diag(c)):
         raise ValueError("squeezed pair is not diagonal in n_magnon - n_pulse")
     d = c.size
-    a = [np.diagonal(op, offset=k) for k, op in enumerate(kraus)]
-    kappa = [np.diagonal(op, offset=m) for m, op in enumerate(swaps)]
-    blocks = []
-    for sector in range(min(d, len(a) + len(kappa) - 1)):
-        ks = range(max(0, sector - len(kappa) + 1), min(sector, len(a) - 1) + 1)
-        blocks.append(np.stack(
-            [c[sector:] * a[k][sector - k:d - k] * kappa[sector - k][:d - sector]
-             for k in ks], axis=1))
-    return blocks
+    # lowered[k, j] = c_{j+k} a_k(j): magnon j + k, pulse j after Kraus k
+    lowered = np.zeros((len(kraus), d), dtype=complex)
+    for k, op in enumerate(kraus):
+        lowered[k, :d - k] = c[k:] * np.diagonal(op, offset=k)
+    rows = kappa.shape[0]
+    stack = np.zeros((d + 1, d, d), dtype=complex)
+    for sector in range(min(d, len(kraus) + rows - 1)):
+        ks = np.arange(max(0, sector - rows + 1), min(sector, len(kraus) - 1) + 1)
+        j = np.arange(sector, d)[:, None] - ks   # pulse number into the swap
+        b = lowered[ks, j] * kappa[sector - ks, j]
+        stack[sector, sector:, sector:] = b @ b.conj().T
+    return stack
 
 
-def _branch_probability(columns: Sequence[np.ndarray]) -> float:
-    prob = float(sum(np.vdot(b, b).real for b in columns))
+def _branch_probability(prob: float) -> float:
     if prob <= 0.0:
         raise RuntimeError("vacuum branch has zero probability")
     return prob
@@ -604,32 +639,31 @@ def _entangle(psi: np.ndarray, efficiency: float, transmittance: float, *,
     contracted onto the mechanical mode, leaving m photons in the pulse.
     Each (Kraus, m) pair gives one [magnon, phonon] ket, a column of B;
     the vacuum branch (m = 0) is renormalized.  A single-column branch is
-    pure and takes the Schmidt route.  Otherwise the state B B^H is
-    carried as its n_magnon - n_phonon sector blocks and measured by the
+    pure and takes the Schmidt route.  Otherwise the state B B^H is built
+    straight into its stack of n_magnon - n_phonon sector blocks, from one
+    call of the contraction-diagonal kernel, and measured by the
     total-number blocks of its partial transpose.  With ``traced`` the
     unconditioned state, summed over every m, is measured too (else
     ``en_traced`` is None).
     """
     d = psi.shape[0]
     kraus = channels.loss_kraus_operators(d, transmittance)
-    swaps = [_swap_vacuum_contraction(d, d, efficiency, m)
-             for m in range(d if traced else 1)]
-
-    def log_negativity(columns: list[np.ndarray]) -> metrics.LogNegativity:
-        return metrics.log_negativity_sectors([b @ b.conj().T for b in columns])
-
-    en_traced = log_negativity(_sector_columns(psi, kraus, swaps)) \
-        if traced else None
+    if traced or len(kraus) > 1:
+        kappa = _contraction_diagonals(d, d, efficiency, d if traced else 1)
+    en_traced = metrics.log_negativity_sectors(
+        _sector_stack(psi, kraus, kappa)) if traced else None
     if len(kraus) == 1:
         # unit transmittance: the branch is one pure ket
-        ket = ((psi @ kraus[0].T) @ swaps[0].T).reshape(-1)
-        prob = _branch_probability([ket])
+        ket = ((psi @ kraus[0].T)
+               @ _swap_vacuum_contraction(d, d, efficiency).T).reshape(-1)
+        prob = _branch_probability(float(np.vdot(ket, ket).real))
         en_fock = metrics.log_negativity_pure(
             fock.FockKet(fock.ModeDims((d, d)), ket / math.sqrt(prob)))
     else:
-        branch = _sector_columns(psi, kraus, swaps[:1])
-        prob = _branch_probability(branch)
-        en_fock = log_negativity([b / math.sqrt(prob) for b in branch])
+        stack = _sector_stack(psi, kraus, kappa[:1])
+        prob = _branch_probability(float(np.einsum("Dii->", stack).real))
+        stack /= prob
+        en_fock = metrics.log_negativity_sectors(stack)
     return _Entangled(prob, en_fock, en_traced)
 
 

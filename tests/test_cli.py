@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import magnomech
-from magnomech import cli, protocol
+from magnomech import cli, metrics, protocol
 from magnomech.cli import ConfigError
+from test_metrics import dense_entangle_states
 
 TWO_PI = 2.0 * math.pi
 
@@ -256,9 +257,9 @@ class TestEntangleCommand:
         assert float(rows[0].split(",")[3]) == pytest.approx(0.72961397578,
                                                              rel=1e-9)
 
-    def test_zero_length_fiber_matches_lossless_run(self, tmp_path,
-                                                    monkeypatch):
-        # loss switched on over 0 km (T = 1) must reproduce the lossless run
+    @pytest.fixture
+    def reports(self, monkeypatch):
+        """The EntangleReport of every run_entanglement call, in order."""
         reports = []
         run = protocol.run_entanglement
 
@@ -267,6 +268,10 @@ class TestEntangleCommand:
             return reports[-1]
 
         monkeypatch.setattr(protocol, "run_entanglement", recording)
+        return reports
+
+    def test_zero_length_fiber_matches_lossless_run(self, tmp_path, reports):
+        # loss switched on over 0 km (T = 1) must reproduce the lossless run
         path = write_config(tmp_path, "include_loss_in_entanglement = true\n"
                                       "fiber_length_km = 0\n")
         assert cli.main(["entangle", path, "--out",
@@ -285,17 +290,8 @@ class TestEntangleCommand:
                 a, b = a.value, b.value
             assert abs(a - b) <= 1e-12, field
 
-    def test_opaque_fiber_leaves_no_entanglement(self, tmp_path,
-                                                monkeypatch):
+    def test_opaque_fiber_leaves_no_entanglement(self, tmp_path, reports):
         # 2000 km at 0.2 dB/km: T = 1e-40, so the pulse never arrives
-        reports = []
-        run = protocol.run_entanglement
-
-        def recording(scenario):
-            reports.append(run(scenario))
-            return reports[-1]
-
-        monkeypatch.setattr(protocol, "run_entanglement", recording)
         path = write_config(tmp_path, "include_loss_in_entanglement = true\n"
                                       "fiber_length_km = 2000\n")
         out = tmp_path / "e.csv"
@@ -307,6 +303,40 @@ class TestEntangleCommand:
         assert rep.en_fock.value == 0.0
         assert rep.en_traced.value <= 1e-12
         assert abs(rep.branch_probability - 1.0) <= 1e-12
+
+    def test_underflowed_transmittance_leaves_no_entanglement(self, tmp_path,
+                                                               reports):
+        # 20000 km at 0.2 dB/km: T = 1e-400 underflows to exactly 0.0
+        path = write_config(tmp_path, "include_loss_in_entanglement = true\n"
+                                      "fiber_length_km = 20000\n")
+        out = tmp_path / "e.csv"
+        assert cli.main(["entangle", path, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0].split(",")[3]) == 0.0
+        rep, = reports
+        assert rep.transmittance == 0.0
+        assert rep.en_fock.value == 0.0
+        assert abs(rep.branch_probability - 1.0) <= 1e-12
+
+    def test_full_conversion_matches_dense_chain(self, tmp_path, reports):
+        # a 2 us conversion pulse gives W = 1 exactly: no photon stays in
+        # the pulse, and the lossy chain must still match its dense form
+        path = write_config(tmp_path, "include_loss_in_entanglement = true\n"
+                                      "fiber_length_km = 10\n"
+                                      "mech_pulse_duration_s = 2e-6\n")
+        out = tmp_path / "e.csv"
+        assert cli.main(["entangle", path, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows == ["0.393222919812,1,0.612860900431,0.559076732833,30,0"]
+        rep, = reports
+        assert rep.efficiency == 1.0
+        branch, traced, prob = dense_entangle_states(
+            rep.truncation, rep.squeezing, rep.efficiency, rep.transmittance)
+        assert abs(rep.en_fock.value
+                   - metrics.log_negativity_fock(branch).value) <= 1e-12
+        assert abs(rep.en_traced.value
+                   - metrics.log_negativity_fock(traced).value) <= 1e-12
+        assert abs(rep.branch_probability - prob) <= 1e-12
 
     def test_truncation_leak_exit_code(self, tmp_path, capsys):
         # r = 1.2 pulse cannot fit in 8 levels per mode

@@ -166,7 +166,8 @@ class TestBlockRoute:
     @staticmethod
     def sector_diagonal_state(d):
         """Mixture of a |n, n> and a |n + 1, n> superposition, as its
-        sector blocks D = n_0 - n_1 = 0, 1 and as a dense state."""
+        (d + 1, d, d) stack of sector blocks D = n_0 - n_1 = 0, 1 and as a
+        dense state."""
         lam = 0.5
         same = lam ** np.arange(d, dtype=complex)
         shifted = (0.3j * lam) ** np.arange(d - 1)
@@ -175,24 +176,27 @@ class TestBlockRoute:
         blocks = [0.7 * np.outer(same, same.conj()),
                   0.3 * np.outer(shifted, shifted.conj())]
         dims = fock.ModeDims((d, d))
+        stack = np.zeros((d + 1, d, d), dtype=complex)
         m = np.zeros((d * d, d * d), dtype=complex)
         for sector, block in enumerate(blocks):
+            stack[sector, sector:, sector:] = block
             idx = [dims.flat_index((n, n - sector)) for n in range(sector, d)]
             m[np.ix_(idx, idx)] += block
-        return blocks, fock.FockDensityMatrix(dims, m)
+        return stack, fock.FockDensityMatrix(dims, m)
 
     def test_sector_diagonal_state_takes_block_route(self, eigvalsh_sizes):
-        blocks, rho = self.sector_diagonal_state(6)
-        en = metrics.log_negativity_sectors(blocks)
+        stack, rho = self.sector_diagonal_state(6)
+        en = metrics.log_negativity_sectors(stack)
         assert len(eigvalsh_sizes) == 11 and max(eigvalsh_sizes) == 6
         assert en.value > 0.1
         assert en.method == "fock_ppt"
         assert abs(en.value - dense_log_negativity(rho)) <= 1e-12
 
     def test_rejects_misshapen_blocks(self):
-        blocks, _ = self.sector_diagonal_state(6)
-        with pytest.raises(ValueError, match="sector 1 block"):
-            metrics.log_negativity_sectors([blocks[0], blocks[0]])
+        stack, _ = self.sector_diagonal_state(6)
+        for bad in (stack[:-1], stack[:, :5], stack[0]):
+            with pytest.raises(ValueError, match="sector stack has shape"):
+                metrics.log_negativity_sectors(bad)
 
 
 class TestPureNegativity:

@@ -359,6 +359,57 @@ class TestSwapVacuumContraction:
         m, n = np.indices(k.shape)
         assert not np.any(k[m != n + occupied - residual])
 
+    @pytest.mark.parametrize("efficiency", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("occupied", [0, 2])
+    @pytest.mark.parametrize("d_src, d_tgt", [(6, 6), (3, 7), (7, 3)])
+    def test_diagonals_match_dense_beamsplitter(self, d_src, d_tgt,
+                                                efficiency, occupied):
+        kappa = protocol._contraction_diagonals(d_src, d_tgt, efficiency,
+                                                d_src, occupied)
+        u = fock.two_mode_unitary(d_src, d_tgt, "beamsplitter",
+                                  math.asin(math.sqrt(efficiency)))
+        assert kappa.shape == (d_src, d_src)
+        for m in range(d_src):
+            for n in range(d_src):
+                out = n + occupied - m
+                # kappa[m, n] = <m, n + occupied - m| U |n, occupied>
+                expect = u[m * d_tgt + out, n * d_tgt + occupied] \
+                    if 0 <= out < d_tgt else 0.0
+                assert abs(kappa[m, n] - expect) <= 1e-13, (m, n)
+            # and each row placed on its diagonal, as every caller uses it
+            np.testing.assert_allclose(
+                protocol._swap_vacuum_contraction(d_src, d_tgt, efficiency,
+                                                  m, occupied),
+                u[m * d_tgt:(m + 1) * d_tgt, occupied::d_tgt],
+                rtol=0, atol=1e-13)
+
+    def test_vacuum_contraction_is_diagonal(self):
+        k = protocol._swap_vacuum_contraction(8, 8, 0.37, 0)
+        assert np.any(np.diag(k))
+        assert not np.any(k - np.diag(np.diag(k)))
+
+    def test_diagonals_compute_only_the_rows_asked_for(self, monkeypatch):
+        d = 7
+        full = protocol._contraction_diagonals(d, d, 0.37, d)
+        dot = np.dot
+        matvec_rows = []   # rows of V taken by each sector's matvec
+
+        def counted(a, b):
+            matvec_rows.append(a.shape[0])
+            return dot(a, b)
+
+        monkeypatch.setattr(np, "dot", counted)
+        for rows in (1, 3, d):
+            matvec_rows.clear()
+            kappa = protocol._contraction_diagonals(d, d, 0.37, rows)
+            np.testing.assert_allclose(kappa, full[:rows], rtol=0, atol=1e-15)
+            # one matvec per input n, one row per element m < rows, n >= m
+            assert len(matvec_rows) == d
+            assert sum(matvec_rows) == sum(d - m for m in range(rows))
+        matvec_rows.clear()
+        protocol._swap_vacuum_contraction(d, d, 0.37, 0)
+        assert matvec_rows == [1] * d
+
 
 class TestRunEntanglement:
     def test_lossless_branch_is_exact_squeezed_vacuum(self):
