@@ -9,6 +9,10 @@ against each other:
 * "ancilla": beamsplitter onto a vacuum ancilla with sin(theta)^2 = 1 - T,
   ancilla traced out afterwards.
 
+A_k lowers the photon number by exactly k, so `loss_kraus_operators`
+returns the set as a table of diagonals: table[k, n] is the amplitude A_k
+gives input level n, landing on n - k.
+
 `post_loss_pulse_state` evaluates the closed-form double sum for the pulse
 state that an anti-Stokes swap of a magnon state produces after fiber loss,
 serving as an independent oracle for the engine route.
@@ -50,24 +54,24 @@ def transmittance(fiber: FiberSpec) -> float:
     return float(10.0 ** (-fiber.total_loss_db / 10.0))
 
 
-def loss_kraus_operators(dim: int, transmittance: float) -> list[np.ndarray]:
-    """Kraus set of the photon-loss channel on a dim-level mode.
+def loss_kraus_operators(dim: int, transmittance: float) -> np.ndarray:
+    """Kraus set of the photon-loss channel on a dim-level mode, as a table.
 
-    A_k |n> = sqrt(C(n, k)) * R^(k/2) * T^((n-k)/2) |n-k>, R = 1 - T.
+    A_k lowers the photon number by k, so it has one nonzero diagonal:
+    A_k |n> = a_k(n) |n - k> with a_k(n) = sqrt(C(n, k) R^k T^(n-k)),
+    R = 1 - T, and a_k(n) = 0 for n < k.  Row k of the returned (rows, dim)
+    table is a_k; at unit transmittance only A_0 = 1 survives and the
+    table has one row.
     """
     t = float(transmittance)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmittance {t!r} outside [0, 1]")
     r = 1.0 - t
-    ops = []
-    for k in range(dim):
-        a = np.zeros((dim, dim))
+    table = np.zeros((1 if r == 0.0 else dim, dim))
+    for k in range(table.shape[0]):
         for n in range(k, dim):
-            a[n - k, n] = math.sqrt(math.comb(n, k) * r**k * t ** (n - k))
-        ops.append(a)
-        if r == 0.0:
-            break  # only k = 0 survives at unit transmittance
-    return ops
+            table[k, n] = math.sqrt(math.comb(n, k) * r**k * t ** (n - k))
+    return table
 
 
 def apply_loss(rho: fock.FockDensityMatrix, mode: int, transmittance: float,
@@ -93,7 +97,8 @@ def apply_loss(rho: fock.FockDensityMatrix, mode: int, transmittance: float,
 
     d = dims.dims[mode]
     out = np.zeros_like(rho.matrix)
-    for a in loss_kraus_operators(d, t):
+    for k, row in enumerate(loss_kraus_operators(d, t)):
+        a = np.diag(row[k:], k)   # A_k placed on its diagonal: A_k[n - k, n]
         # single-mode Kraus: act on the ket axis of `mode`, then the bra axis
         m = rho.matrix.reshape(dims.dims + dims.dims)
         m = np.moveaxis(m, mode, 0)

@@ -14,16 +14,18 @@ Both pipelines condition the intermediate mode on vacuum after each swap
 and carry the resulting branch state.  Every swap is one contraction
 <m, .| U_bs |., k> of the beamsplitter, so no swap forms a two-mode state;
 each is zero off one shifted diagonal, and one kernel call returns those
-diagonals for every residual m at once.  The transfer protocol carries a
-single-mode d x d density matrix through three Kraus channels: swap in,
-fiber loss, swap out.  Its branch is kept subnormalized, so the fidelity
-against the target ket reads as the success probability of a perfect
-transfer and reproduces the closed-form values STW, (SW)^n and the
-superposition formula; the unconditioned (traced) state is reported
-alongside.  The entanglement protocol carries a pure two-mode state as
-one ket and builds a mixed one straight into a (d + 1, d, d) stack of its
-n_magnon - n_phonon sector blocks, which every Kraus and swap column
-respects, so no d^2 x d^2 matrix is formed; its branch is renormalized.
+diagonals for every residual m at once; fiber loss is a table of
+diagonals too.  The transfer protocol carries a single-mode d x d density
+matrix through three channels (swap in, fiber loss, swap out), each
+applied from its diagonals as shifted slices times elementwise products.
+Its branch is kept subnormalized, so the fidelity against the target ket
+reads as the success probability of a perfect transfer and reproduces
+the closed-form values STW, (SW)^n and the superposition formula; the
+unconditioned (traced) state is reported alongside.  The entanglement
+protocol carries a pure two-mode state as one ket and builds a mixed one
+straight into a (d + 1, d, d) stack of its n_magnon - n_phonon sector
+blocks, which every Kraus and swap column respects, so no d^2 x d^2
+matrix is formed; its branch is renormalized.
 In the lossless case the branch is exactly a two-mode squeezed vacuum
 with tanh r' = sqrt(W) tanh r, hence E_N = 2 r'.
 
@@ -356,9 +358,22 @@ class TransferReport:
         return abs(self.fidelity_engine - self.fidelity_closed_form)
 
 
-def _apply_kraus(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """The single-mode channel rho -> sum_A A rho A^H."""
-    return sum(a @ rho @ a.conj().T for a in ops)
+def _apply_diagonals(rho: np.ndarray, table: np.ndarray,
+                     shifts: Sequence[int]) -> np.ndarray:
+    """The single-mode channel rho -> sum_j A_j rho A_j^H, by diagonals.
+
+    A_j |n> = table[j, n] |n + shifts[j]>: each operator has one nonzero
+    diagonal, so A_j rho A_j^H is the block rho[n, n'] scaled by
+    a_j(n) conj(a_j(n')) and moved by shifts[j] along both axes.  Levels
+    that would leave the d-level space are dropped.
+    """
+    d = rho.shape[0]
+    out = np.zeros_like(rho)
+    for a, s in zip(table, shifts):
+        lo, hi = max(0, -s), min(d, d - s)
+        v, moved = a[lo:hi], slice(lo + s, hi + s)
+        out[moved, moved] += v[:, None] * rho[lo:hi, lo:hi] * v.conj()
+    return out
 
 
 def run_transfer(scenario: ScenarioConfig,
@@ -366,18 +381,19 @@ def run_transfer(scenario: ScenarioConfig,
     """Magnon -> pulse -> fiber -> phonon pipeline on the Fock engine.
 
     The carried state is single-mode at every stage, so each stage is a
-    Kraus channel on a d x d matrix.  Both swaps use the contraction
-    <m, .| U_bs |., k> of the beamsplitter with the source left holding m
-    excitations and the target starting in |k>: the swap in starts from
-    an empty pulse, the swap out from the phonon's thermal levels k,
-    weighted by sqrt(p_k).  The fiber is its loss channel.  Keeping only
-    m = 0 after each swap conditions the magnon and then the pulse mode
-    on vacuum, so ``phonon_state`` is the subnormalized branch the closed
-    forms describe; summing over every m gives the unconditioned reduced
-    state ``phonon_state_traced`` for comparison.  Fidelities are
-    reported against the initial ket with the deterministic two-swap
-    phase compensated, plus the raw uncompensated value; both are None
-    for mixed initial tables.
+    Kraus channel on a d x d matrix, applied from the one shifted diagonal
+    of each operator.  Both swaps use the contraction <m, .| U_bs |., k>
+    of the beamsplitter with the source left holding m excitations and
+    the target starting in |k>: the swap in starts from an empty pulse,
+    the swap out from the phonon's thermal levels k, weighted by
+    sqrt(p_k).  The fiber is its loss channel.  Keeping only m = 0 after
+    each swap conditions the magnon and then the pulse mode on vacuum, so
+    ``phonon_state`` is the subnormalized branch the closed forms
+    describe; summing over every m gives the unconditioned reduced state
+    ``phonon_state_traced`` for comparison.  Fidelities are reported
+    against the initial ket with the deterministic two-swap phase
+    compensated, plus the raw uncompensated value; both are None for
+    mixed initial tables.
     """
     if state is None:
         state = scenario.initial_states[0]
@@ -392,25 +408,32 @@ def run_transfer(scenario: ScenarioConfig,
         warnings = warnings + (
             "phonon starts thermal; closed-form fidelity assumes ground state",)
 
-    swap_in = _swap_contractions(d, d, s_eff.efficiency, d)
+    # row m of a contraction table moves level n to n + occupied - m,
+    # row k of the loss table moves it to n - k
+    swap_in = _contraction_diagonals(d, d, s_eff.efficiency, d)
     fiber = channels.loss_kraus_operators(d, t_fiber)
+    down = -np.arange(d)   # the shifts of both, with occupied = 0
     # truncated geometric phonon distribution, renormalized to unit trace
     q = nbar / (1.0 + nbar)
     weights = q ** np.arange(d)
     weights /= weights.sum()
-    # one stack per phonon level k of nonzero weight, indexed by m
-    swap_out = [math.sqrt(p) * _swap_contractions(d, d, w_eff.efficiency, d, k)
-                for k, p in enumerate(weights) if p > 0.0]
+    # one table per phonon level k of nonzero weight, indexed by m
+    levels = [k for k, p in enumerate(weights) if p > 0.0]
+    swap_out = np.stack([math.sqrt(weights[k])
+                         * _contraction_diagonals(d, d, w_eff.efficiency, d, k)
+                         for k in levels], axis=1)
 
     rho_m = state.density(d).matrix
-    pulse_branch = _apply_kraus(_apply_kraus(rho_m, swap_in[:1]), fiber)
-    pulse_traced = _apply_kraus(_apply_kraus(rho_m, swap_in), fiber)
+    pulse_branch = _apply_diagonals(
+        _apply_diagonals(rho_m, swap_in[:1], down), fiber, down)
+    pulse_traced = _apply_diagonals(
+        _apply_diagonals(rho_m, swap_in, down), fiber, down)
     dims = fock.ModeDims((d,))
     phonon_branch = fock.FockDensityMatrix(
-        dims, _apply_kraus(pulse_branch, [ops[0] for ops in swap_out]))
+        dims, _apply_diagonals(pulse_branch, swap_out[0], levels))
     phonon_traced = fock.FockDensityMatrix(
-        dims, _apply_kraus(pulse_traced,
-                           [ops[m] for m in range(d) for ops in swap_out]))
+        dims, _apply_diagonals(pulse_traced, swap_out.reshape(-1, d),
+                               [k - m for m in range(d) for k in levels]))
 
     # each swap stamps -i per transferred excitation; undo both at once
     compensated = fock.apply_phase_rotation(phonon_branch, 0, math.pi)
@@ -526,33 +549,6 @@ def _contraction_diagonals(d_src: int, d_tgt: int, efficiency: float,
     return kappa
 
 
-def _swap_contractions(d_src: int, d_tgt: int, efficiency: float, rows: int,
-                       occupied: int = 0) -> np.ndarray:
-    """K[m][M, n] = <m, M| U_bs |n, occupied> for every m < rows.
-
-    Each row of :func:`_contraction_diagonals` placed on its shifted
-    diagonal M = n + occupied - m of a d_tgt x d_src matrix.
-    """
-    kappa = _contraction_diagonals(d_src, d_tgt, efficiency, rows, occupied)
-    k = np.zeros((rows, d_tgt, d_src), dtype=complex)
-    for m in range(rows):
-        block = k[m, max(0, occupied - m):, max(0, m - occupied):]
-        np.fill_diagonal(block, kappa[m, max(0, m - occupied):][:min(block.shape)])
-    return k
-
-
-def _swap_vacuum_contraction(d_src: int, d_tgt: int, efficiency: float,
-                             residual: int = 0, occupied: int = 0) -> np.ndarray:
-    """K[M, n] = <residual, M| U_bs |n, occupied> for the partial swap src -> tgt.
-
-    ``residual`` selects how many photons stay behind in the source mode,
-    ``occupied`` how many the target mode holds before the swap; K is zero
-    off the diagonal M = n + occupied - residual.
-    """
-    return _swap_contractions(d_src, d_tgt, efficiency, residual + 1,
-                              occupied)[residual]
-
-
 @dataclass(eq=False)
 class EntangleReport:
     """Entanglement-distribution results for one scenario."""
@@ -591,33 +587,28 @@ def _squeezed_vacuum(d: int, squeezing: float,
     return pair.amplitudes.reshape(d, d), fock.truncation_leak(pair, (0, 1))
 
 
-def _sector_stack(pair: np.ndarray, kraus: Sequence[np.ndarray],
+def _sector_stack(c: np.ndarray, loss: np.ndarray,
                   kappa: np.ndarray) -> np.ndarray:
     """rho = B B^H stacked by sector: stack[D, i, i'] = <i, i - D|rho|i', i' - D>.
 
-    ``pair`` is the squeezed pair, diagonal (amplitudes c_i on |i, i>)
-    since the squeeze conserves n_magnon - n_pulse.  Kraus operator k
-    lowers the pulse by k and row m of ``kappa`` (the contraction
-    diagonals) leaves m photons behind, so their column of B lies in
-    sector D = k + m = n_magnon - n_phonon.  Block D has one row per
-    magnon number i = D .. d - 1 and one column per k:
-    B_D[i, k] = c_i a_k(i - k) kappa_{D-k}(i - k), with a_k the shifted
-    diagonal holding every nonzero element of A_k.  The (d + 1, d, d)
+    ``c`` holds the squeezed pair's amplitudes on |i, i>.  Kraus operator
+    k (row k of the ``loss`` table) lowers the pulse by k and row m of
+    ``kappa`` (the contraction diagonals) leaves m photons behind, so
+    their column of B lies in sector D = k + m = n_magnon - n_phonon.
+    Block D has one row per magnon number i = D .. d - 1 and one column
+    per k: B_D[i, k] = c_i a_k(i) kappa_{D-k}(i - k).  The (d + 1, d, d)
     stack is the layout of :func:`metrics.log_negativity_sectors`; rows
     i < D and slab d stay zero.
     """
-    c = np.diagonal(pair)
-    if np.any(pair - np.diag(c)):
-        raise ValueError("squeezed pair is not diagonal in n_magnon - n_pulse")
     d = c.size
-    # lowered[k, j] = c_{j+k} a_k(j): magnon j + k, pulse j after Kraus k
-    lowered = np.zeros((len(kraus), d), dtype=complex)
-    for k, op in enumerate(kraus):
-        lowered[k, :d - k] = c[k:] * np.diagonal(op, offset=k)
+    # lowered[k, j] = c_{j+k} a_k(j + k): magnon j + k, pulse j after Kraus k
+    lowered = np.zeros((len(loss), d), dtype=complex)
+    for k, a in enumerate(loss):
+        lowered[k, :d - k] = c[k:] * a[k:]
     rows = kappa.shape[0]
     stack = np.zeros((d + 1, d, d), dtype=complex)
-    for sector in range(min(d, len(kraus) + rows - 1)):
-        ks = np.arange(max(0, sector - rows + 1), min(sector, len(kraus) - 1) + 1)
+    for sector in range(min(d, len(loss) + rows - 1)):
+        ks = np.arange(max(0, sector - rows + 1), min(sector, len(loss) - 1) + 1)
         j = np.arange(sector, d)[:, None] - ks   # pulse number into the swap
         b = lowered[ks, j] * kappa[sector - ks, j]
         stack[sector, sector:, sector:] = b @ b.conj().T
@@ -637,30 +628,33 @@ def _entangle(psi: np.ndarray, efficiency: float, transmittance: float, *,
     Each Kraus operator of the fiber loss acts on the pulse of ``psi`` (at
     T = 1 the identity is the only one), and the conversion swap is
     contracted onto the mechanical mode, leaving m photons in the pulse.
-    Each (Kraus, m) pair gives one [magnon, phonon] ket, a column of B;
-    the vacuum branch (m = 0) is renormalized.  A single-column branch is
-    pure and takes the Schmidt route.  Otherwise the state B B^H is built
-    straight into its stack of n_magnon - n_phonon sector blocks, from one
-    call of the contraction-diagonal kernel, and measured by the
-    total-number blocks of its partial transpose.  With ``traced`` the
-    unconditioned state, summed over every m, is measured too (else
-    ``en_traced`` is None).
+    Both are read as their one nonzero diagonal: the loss table and the
+    contraction-diagonal kernel, called once.  Each (Kraus, m) pair gives
+    one [magnon, phonon] ket, a column of B; the vacuum branch (m = 0) is
+    renormalized.  A single-column branch is pure, the diagonal ket
+    c_i a_0(i) kappa_0(i) on |i, i>, and takes the Schmidt route.
+    Otherwise the state B B^H is built straight into its stack of
+    n_magnon - n_phonon sector blocks and measured by the total-number
+    blocks of its partial transpose.  With ``traced`` the unconditioned
+    state, summed over every m, is measured too (else ``en_traced`` is
+    None).
     """
-    d = psi.shape[0]
-    kraus = channels.loss_kraus_operators(d, transmittance)
-    if traced or len(kraus) > 1:
-        kappa = _contraction_diagonals(d, d, efficiency, d if traced else 1)
+    c = np.diagonal(psi)   # the squeeze conserves n_magnon - n_pulse
+    if np.any(psi - np.diag(c)):
+        raise ValueError("squeezed pair is not diagonal in n_magnon - n_pulse")
+    d = c.size
+    loss = channels.loss_kraus_operators(d, transmittance)
+    kappa = _contraction_diagonals(d, d, efficiency, d if traced else 1)
     en_traced = metrics.log_negativity_sectors(
-        _sector_stack(psi, kraus, kappa)) if traced else None
-    if len(kraus) == 1:
+        _sector_stack(c, loss, kappa)) if traced else None
+    if len(loss) == 1:
         # unit transmittance: the branch is one pure ket
-        ket = ((psi @ kraus[0].T)
-               @ _swap_vacuum_contraction(d, d, efficiency).T).reshape(-1)
+        ket = np.diag(c * loss[0] * kappa[0]).reshape(-1)
         prob = _branch_probability(float(np.vdot(ket, ket).real))
         en_fock = metrics.log_negativity_pure(
             fock.FockKet(fock.ModeDims((d, d)), ket / math.sqrt(prob)))
     else:
-        stack = _sector_stack(psi, kraus, kappa[:1])
+        stack = _sector_stack(c, loss, kappa[:1])
         prob = _branch_probability(float(np.einsum("Dii->", stack).real))
         stack /= prob
         en_fock = metrics.log_negativity_sectors(stack)

@@ -42,22 +42,28 @@ class TestFiberSpec:
 
 
 class TestKrausOperators:
+    """The loss channel as its table of diagonals: table[k, n] is the
+    amplitude A_k gives level n, landing on n - k."""
+
     @pytest.mark.parametrize("t", [0.0, 0.33, 0.630957344480, 1.0])
     def test_completeness(self, t):
-        ops = channels.loss_kraus_operators(10, t)
-        acc = sum(a.T @ a for a in ops)
-        np.testing.assert_allclose(acc, np.eye(10), atol=1e-13)
+        table = channels.loss_kraus_operators(10, t)
+        # sum_k A_k^H A_k = 1 is diagonal: sum_k a_k(n)^2 = 1 for every n
+        np.testing.assert_allclose((table**2).sum(axis=0), np.ones(10),
+                                   rtol=0, atol=1e-13)
+        # A_k cannot lower a level n < k
+        assert not np.any(np.tril(table, -1))
 
     def test_unit_transmittance_is_identity_only(self):
-        ops = channels.loss_kraus_operators(8, 1.0)
-        assert len(ops) == 1
-        np.testing.assert_allclose(ops[0], np.eye(8), atol=1e-15)
+        table = channels.loss_kraus_operators(8, 1.0)
+        assert table.shape == (1, 8)
+        np.testing.assert_array_equal(table, np.ones((1, 8)))
 
     def test_single_photon_element(self):
-        ops = channels.loss_kraus_operators(4, 0.7)
+        table = channels.loss_kraus_operators(4, 0.7)
         # A_0 |1> = sqrt(T) |1>, A_1 |1> = sqrt(1-T) |0>
-        assert ops[0][1, 1] == pytest.approx(math.sqrt(0.7), rel=1e-12)
-        assert ops[1][0, 1] == pytest.approx(math.sqrt(0.3), rel=1e-12)
+        assert table[0, 1] == pytest.approx(math.sqrt(0.7), rel=1e-12)
+        assert table[1, 1] == pytest.approx(math.sqrt(0.3), rel=1e-12)
 
     def test_rejects_bad_transmittance(self):
         with pytest.raises(ValueError):

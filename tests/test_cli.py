@@ -205,6 +205,27 @@ class TestTransferCommand:
         _, _, rows = read_csv(out)
         assert float(rows[0].split(",")[3]) == 1.0
 
+    def test_opaque_fiber_transfers_only_vacuum(self, tmp_path):
+        # 20000 km: T underflows to 0.0, so every photon is lost in the fiber
+        path = write_config(tmp_path, "fiber_length_km = 20000\n"
+                            "initial_states = fock:0, fock:1, superposition\n")
+        out = tmp_path / "t.csv"
+        assert cli.main(["transfer", path, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        cells = [r.split(",") for r in rows]
+        assert [c[3:6] for c in cells] == [
+            ["0", "1", "1"], ["0", "0", "0"],
+            ["0", "0.295534555014", "0.295534555014"]]
+        assert all(float(c[6]) < 1e-15 for c in cells)
+        # a thermal phonon keeps its own excitations: F is its vacuum
+        # weight, 1/(1 + nbar) renormalized over the 12 levels
+        path = write_config(tmp_path, "fiber_length_km = 20000\n"
+                            "phonon_thermal_occupation = 0.2\n"
+                            "initial_states = fock:0\n")
+        assert cli.main(["transfer", path, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows[0].split(",")[3:5] == ["0", "0.833333333716"]
+
     def test_huge_thermal_occupation_gives_uniform_phonon(self, tmp_path):
         # q = nbar / (1 + nbar) rounds to 1: the truncated thermal phonon
         # is uniform over the basis, not 0/0

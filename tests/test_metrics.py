@@ -92,13 +92,16 @@ def dense_log_negativity(rho):
 
 def dense_entangle_states(d, squeezing, efficiency, transmittance):
     """The branch (renormalized) and traced states of the lossy chain as
-    dense rho = B B^H, with B built column by column from the Kraus
-    operators and the swap contractions; also the branch probability."""
+    dense rho = B B^H, with B built column by column from the dense Kraus
+    operators and the swap contractions <m, .|U|., 0>, sliced out of the
+    dense beamsplitter; also the branch probability."""
     psi, _ = protocol._squeezed_vacuum(d, squeezing,
                                        protocol.SQUEEZE_LEAK_BUDGET)
-    kets = [psi @ a.T for a in channels.loss_kraus_operators(d, transmittance)]
-    columns = [[(k @ protocol._swap_vacuum_contraction(
-                    d, d, efficiency, m).T).reshape(-1) for k in kets]
+    kets = [psi @ np.diag(row[k:], k).T for k, row in
+            enumerate(channels.loss_kraus_operators(d, transmittance))]
+    u = fock.two_mode_unitary(d, d, "beamsplitter",
+                              math.asin(math.sqrt(efficiency)))
+    columns = [[(k @ u[m * d:(m + 1) * d, ::d].T).reshape(-1) for k in kets]
                for m in range(d)]
     dims = fock.ModeDims((d, d))
     branch = np.stack(columns[0], axis=1)

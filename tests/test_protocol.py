@@ -349,15 +349,22 @@ class TestSwapVacuumContraction:
         for k in (0, 2) for m in (0, 1, 5)])
     def test_matches_dense_beamsplitter(self, efficiency, residual, occupied):
         d = 6
-        k = protocol._swap_vacuum_contraction(d, d, efficiency, residual,
-                                              occupied)
+        kappa = protocol._contraction_diagonals(d, d, efficiency,
+                                                residual + 1, occupied)
         u = fock.two_mode_unitary(d, d, "beamsplitter",
                                   math.asin(math.sqrt(efficiency)))
-        # K[M, n] = <residual, M| U |n, occupied>
-        expect = u[residual * d:(residual + 1) * d, occupied::d]
-        np.testing.assert_allclose(k, expect, rtol=0, atol=1e-13)
-        m, n = np.indices(k.shape)
-        assert not np.any(k[m != n + occupied - residual])
+        # <residual, M| U |n, occupied>, nonzero only where
+        # M = n + occupied - residual
+        dense = u[residual * d:(residual + 1) * d, occupied::d]
+        out = np.arange(d) + occupied - residual
+        inside = (out >= 0) & (out < d)
+        np.testing.assert_allclose(kappa[residual, inside],
+                                   dense[out[inside], np.arange(d)[inside]],
+                                   rtol=0, atol=1e-13)
+        assert not np.any(kappa[residual, ~inside])
+        m, n = np.indices(dense.shape)
+        assert np.max(np.abs(dense[m != n + occupied - residual]),
+                      initial=0.0) <= 1e-13
 
     @pytest.mark.parametrize("efficiency", [0.0, 0.37, 1.0])
     @pytest.mark.parametrize("occupied", [0, 2])
@@ -376,17 +383,6 @@ class TestSwapVacuumContraction:
                 expect = u[m * d_tgt + out, n * d_tgt + occupied] \
                     if 0 <= out < d_tgt else 0.0
                 assert abs(kappa[m, n] - expect) <= 1e-13, (m, n)
-            # and each row placed on its diagonal, as every caller uses it
-            np.testing.assert_allclose(
-                protocol._swap_vacuum_contraction(d_src, d_tgt, efficiency,
-                                                  m, occupied),
-                u[m * d_tgt:(m + 1) * d_tgt, occupied::d_tgt],
-                rtol=0, atol=1e-13)
-
-    def test_vacuum_contraction_is_diagonal(self):
-        k = protocol._swap_vacuum_contraction(8, 8, 0.37, 0)
-        assert np.any(np.diag(k))
-        assert not np.any(k - np.diag(np.diag(k)))
 
     def test_diagonals_compute_only_the_rows_asked_for(self, monkeypatch):
         d = 7
@@ -406,9 +402,28 @@ class TestSwapVacuumContraction:
             # one matvec per input n, one row per element m < rows, n >= m
             assert len(matvec_rows) == d
             assert sum(matvec_rows) == sum(d - m for m in range(rows))
-        matvec_rows.clear()
-        protocol._swap_vacuum_contraction(d, d, 0.37, 0)
-        assert matvec_rows == [1] * d
+
+
+class TestApplyDiagonals:
+    """The diagonal-form channel against the dense sum A rho A^H."""
+
+    def test_matches_dense_kraus_sum(self):
+        d = 7
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = (a + a.conj().T) / (4 * d)   # Hermitian, entries below one
+        # negative as in loss and the swap-out's m > k, positive as m < k
+        shifts = [-2, -1, 0, 1, 2, 3]
+        table = (rng.uniform(-1, 1, size=(len(shifts), d))
+                 + 1j * rng.uniform(-1, 1, size=(len(shifts), d))) / 2
+        expect = np.zeros((d, d), dtype=complex)
+        for row, s in zip(table, shifts):
+            op = np.zeros((d, d), dtype=complex)
+            for n in range(max(0, -s), min(d, d - s)):
+                op[n + s, n] = row[n]    # A |n> = table[j, n] |n + s>
+            expect += op @ rho @ op.conj().T
+        out = protocol._apply_diagonals(rho, table, shifts)
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-15)
 
 
 class TestRunEntanglement:
@@ -486,6 +501,9 @@ class TestRunEntanglement:
         psi[1, 0] = 1e-300
         with pytest.raises(ValueError, match="not diagonal"):
             protocol._entangle(psi, 0.9, 0.8, traced=True)
+        # the pure (T = 1) branch reads the same diagonal
+        with pytest.raises(ValueError, match="not diagonal"):
+            protocol._entangle(psi, 0.9, 1.0, traced=False)
 
     def test_effective_squeezing_matches_metric(self):
         rep = protocol.run_entanglement(protocol.default_entanglement_scenario())
