@@ -43,6 +43,7 @@ class FiberSpec:
             v = float(getattr(self, name))
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            object.__setattr__(self, name, v)
 
     @property
     def total_loss_db(self) -> float:

@@ -28,8 +28,7 @@ import hashlib
 import math
 import sys
 
-from . import __version__, fock, protocol
-from .moments import validate_adiabatic
+from . import __version__, fock, moments, protocol
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,31 +63,53 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return values
 
 
-# every recognized config key with its parser; anything else is rejected
+# config key of each settable field, by scenario part; the TM and cavity
+# linewidth keys set both the node and its pulse, so a pulse follows its node
+_PART_KEYS = {
+    "magnonic": {
+        "te_mode_freq": "te_mode_freq_over_2pi_hz",
+        "tm_mode_freq": "tm_mode_freq_over_2pi_hz",
+        "magnon_freq": "magnon_freq_over_2pi_hz",
+        "te_linewidth": "te_linewidth_over_2pi_hz",
+        "tm_linewidth": "tm_linewidth_over_2pi_hz",
+        "magnon_linewidth": "magnon_linewidth_over_2pi_hz",
+    },
+    "mechanical": {
+        "cavity_freq": "cavity_freq_over_2pi_hz",
+        "mech_freq": "mech_freq_over_2pi_hz",
+        "cavity_linewidth": "cavity_linewidth_over_2pi_hz",
+        "mech_damping": "mech_damping_over_2pi_hz",
+    },
+    "magnon_pulse": {
+        "coupling": "magnon_pulse_coupling_over_2pi_hz",
+        "cavity_linewidth": "tm_linewidth_over_2pi_hz",
+        "duration": "magnon_pulse_duration_s",
+    },
+    "mech_pulse": {
+        "coupling": "mech_pulse_coupling_over_2pi_hz",
+        "cavity_linewidth": "cavity_linewidth_over_2pi_hz",
+        "duration": "mech_pulse_duration_s",
+    },
+    "fiber": {
+        "length_km": "fiber_length_km",
+        "attenuation_db_per_km": "fiber_attenuation_db_per_km",
+        "extra_loss_db": "fiber_extra_loss_db",
+    },
+}
+# scenario options whose config key is the field name
+_OPTION_KEYS = ("truncation", "include_loss_in_entanglement",
+                "phonon_thermal_occupation")
+
+# every recognized config key with its parser; anything else is rejected.
+# A spec field's key is angular when it ends in _over_2pi_hz, else a float.
 CONFIG_KEYS = {
-    "te_mode_freq_over_2pi_hz": _angular,
-    "tm_mode_freq_over_2pi_hz": _angular,
-    "magnon_freq_over_2pi_hz": _angular,
-    "te_linewidth_over_2pi_hz": _angular,
-    "tm_linewidth_over_2pi_hz": _angular,
-    "magnon_linewidth_over_2pi_hz": _angular,
-    "cavity_freq_over_2pi_hz": _angular,
-    "mech_freq_over_2pi_hz": _angular,
-    "cavity_linewidth_over_2pi_hz": _angular,
-    "mech_damping_over_2pi_hz": _angular,
+    **{key: _angular if key.endswith("_over_2pi_hz") else float
+       for keys in _PART_KEYS.values() for key in keys.values()},
     "mech_detuning_over_2pi_hz": _angular,
-    "magnon_pulse_coupling_over_2pi_hz": _angular,
-    "magnon_pulse_duration_s": float,
-    "mech_pulse_coupling_over_2pi_hz": _angular,
-    "mech_pulse_duration_s": float,
-    "fiber_length_km": float,
-    "fiber_attenuation_db_per_km": float,
-    "fiber_extra_loss_db": float,
     "truncation": int,
     "initial_states": str,
     "include_loss_in_entanglement": _boolean,
     "phonon_thermal_occupation": float,
-    "leak_budget": float,
     "qle_process": str,
     "qle_coupling_ratios": _float_list,
 }
@@ -155,44 +176,6 @@ def parse_state_token(token: str) -> protocol.InitialState:
                 f"state token {tok!r} not normalized (norm {norm:.8f})")
         return protocol.InitialState(tok, ket=[c0 / norm, c1 / norm])
     raise ConfigError(f"unknown state token {token!r}")
-
-
-# config key of each settable field, by scenario part; the TM and cavity
-# linewidth keys set both the node and its pulse, so a pulse follows its node
-_PART_KEYS = {
-    "magnonic": {
-        "te_mode_freq": "te_mode_freq_over_2pi_hz",
-        "tm_mode_freq": "tm_mode_freq_over_2pi_hz",
-        "magnon_freq": "magnon_freq_over_2pi_hz",
-        "te_linewidth": "te_linewidth_over_2pi_hz",
-        "tm_linewidth": "tm_linewidth_over_2pi_hz",
-        "magnon_linewidth": "magnon_linewidth_over_2pi_hz",
-    },
-    "mechanical": {
-        "cavity_freq": "cavity_freq_over_2pi_hz",
-        "mech_freq": "mech_freq_over_2pi_hz",
-        "cavity_linewidth": "cavity_linewidth_over_2pi_hz",
-        "mech_damping": "mech_damping_over_2pi_hz",
-    },
-    "magnon_pulse": {
-        "coupling": "magnon_pulse_coupling_over_2pi_hz",
-        "cavity_linewidth": "tm_linewidth_over_2pi_hz",
-        "duration": "magnon_pulse_duration_s",
-    },
-    "mech_pulse": {
-        "coupling": "mech_pulse_coupling_over_2pi_hz",
-        "cavity_linewidth": "cavity_linewidth_over_2pi_hz",
-        "duration": "mech_pulse_duration_s",
-    },
-    "fiber": {
-        "length_km": "fiber_length_km",
-        "attenuation_db_per_km": "fiber_attenuation_db_per_km",
-        "extra_loss_db": "fiber_extra_loss_db",
-    },
-}
-# scenario options whose config key is the field name
-_OPTION_KEYS = ("truncation", "include_loss_in_entanglement",
-                "phonon_thermal_occupation", "leak_budget")
 
 
 def _overlay(spec, cfg: dict, keys: dict):
@@ -339,10 +322,9 @@ def cmd_qle(args) -> int:
     ratios = cfg.get("qle_coupling_ratios", DEFAULT_QLE_RATIOS)
     pulse = _overlay(_default_scenario(process == "stokes").magnon_pulse,
                      cfg, _PART_KEYS["magnon_pulse"])
-    rows = validate_adiabatic(pulse.cavity_linewidth, pulse.pulse_area, ratios,
-                              process=process,
-                              matter_linewidth=cfg.get(
-                                  "magnon_linewidth_over_2pi_hz", 0.0))
+    rows = moments.validate_adiabatic(
+        pulse.cavity_linewidth, pulse.pulse_area, ratios, process=process,
+        matter_linewidth=cfg.get("magnon_linewidth_over_2pi_hz", 0.0))
     lines = _manifest("qle", args.config, digest, args.out)
     lines.append(f"# note: process {process}, pulse area {_fmt(pulse.pulse_area)}")
     lines.append("G_over_kappa,eta_integrated,eta_closed,rel_err")

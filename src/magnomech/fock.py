@@ -110,7 +110,7 @@ class FockKet:
 
     __slots__ = ("dims", "amplitudes")
 
-    def __init__(self, dims, amplitudes, *, normalize: bool = False):
+    def __init__(self, dims, amplitudes):
         dims = _as_dims(dims)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != dims.size:
@@ -119,17 +119,10 @@ class FockKet:
                 f"joint dimension {dims.size}"
             )
         norm = float(np.linalg.norm(amps))
-        if normalize:
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            amps /= norm
-        elif abs(norm - 1.0) > KET_NORM_TOL:
+        if abs(norm - 1.0) > KET_NORM_TOL:
             raise ValueError(f"ket norm {norm!r} deviates from 1 beyond {KET_NORM_TOL}")
         self.dims = dims
         self.amplitudes = _freeze(amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def density_matrix(self) -> "FockDensityMatrix":
         m = np.outer(self.amplitudes, self.amplitudes.conj())

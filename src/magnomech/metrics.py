@@ -32,15 +32,9 @@ import numpy as np
 
 from . import fock
 
-FIDELITY_DEFINITIONS = ("pure_target_overlap",)
-NEGATIVITY_METHODS = ("fock_ppt", "fock_schmidt", "gaussian_symplectic",
-                      "closed_form")
-
-
-@dataclass(frozen=True)
-class Fidelity:
-    value: float
-    definition: str
+# most negative eigenvalue of V + i*Omega accepted as roundoff in a
+# physical covariance matrix V, here and in the moment integration
+PHYSICAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,13 +43,12 @@ class LogNegativity:
     method: str
 
 
-def fidelity_pure_target(target: fock.FockKet, rho: fock.FockDensityMatrix) -> Fidelity:
+def fidelity_pure_target(target: fock.FockKet, rho: fock.FockDensityMatrix) -> float:
     """<phi|rho|phi> for a pure target; real, in [0, trace(rho)]."""
     if target.dims.dims != rho.dims.dims:
         raise ValueError("target and state dimensions differ")
     v = target.amplitudes
-    val = float(np.real(v.conj() @ rho.matrix @ v))
-    return Fidelity(value=max(0.0, val), definition="pure_target_overlap")
+    return max(0.0, float(np.real(v.conj() @ rho.matrix @ v)))
 
 
 def _real_if_close(h: np.ndarray) -> np.ndarray:
@@ -168,14 +161,13 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     return np.sort(ev)[::2]  # each nu appears twice
 
 
-def log_negativity_gaussian(cm: np.ndarray, transpose_modes=(1,),
-                            *, physical_tol: float = 1e-9) -> LogNegativity:
+def log_negativity_gaussian(cm: np.ndarray, transpose_modes=(1,)) -> LogNegativity:
     """E_N = max(0, -ln nu_min) after transposing the listed modes.
 
     ``cm`` is a covariance matrix in (x, p) interleaved order with vacuum
     normalized to the identity.  Transposition flips the p quadrature of
     each listed mode.  Raises ValueError when the input covariance matrix
-    is unphysical beyond ``physical_tol``.
+    is unphysical beyond ``PHYSICAL_TOL``.
     """
     cm = np.asarray(cm, dtype=float)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
@@ -188,7 +180,7 @@ def log_negativity_gaussian(cm: np.ndarray, transpose_modes=(1,),
         raise ValueError(f"covariance matrix asymmetric by {asym:.3e}")
     omega = symplectic_form(n)
     w = np.linalg.eigvalsh(cm + 1j * omega)
-    if w[0] < -physical_tol:
+    if w[0] < -PHYSICAL_TOL:
         raise ValueError(f"unphysical covariance matrix: min eig of V + i*Omega "
                          f"is {w[0]:.3e}")
     flip = np.ones(2 * n)

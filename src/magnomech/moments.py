@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .metrics import symplectic_form
+from . import metrics
 
 DRIFT_KINDS = (
     "magnonic_antistokes",
@@ -41,6 +41,10 @@ DRIFT_KINDS = (
 
 # resolve the fastest rate in the drift: dt <= DT_SAFETY / max rate
 DT_SAFETY = 0.05
+# integrate: RK4 steps between uncertainty checks, and the covariance
+# magnitude taken as blowup
+_CHECK_EVERY = 200
+_NORM_BOUND = 1e12
 
 
 class CovarianceState:
@@ -52,7 +56,8 @@ class CovarianceState:
 
     __slots__ = ("mean", "cm")
 
-    def __init__(self, mean, cm, *, check: bool = True, physical_tol: float = 1e-9):
+    def __init__(self, mean, cm, *, check: bool = True,
+                 physical_tol: float = metrics.PHYSICAL_TOL):
         mean = np.asarray(mean, dtype=float).reshape(-1).copy()
         cm = np.asarray(cm, dtype=float).copy()
         if cm.shape != (mean.size, mean.size) or mean.size % 2:
@@ -62,7 +67,8 @@ class CovarianceState:
             raise ValueError(f"covariance asymmetric by {asym:.3e}")
         cm = 0.5 * (cm + cm.T)
         if check:
-            w = np.linalg.eigvalsh(cm + 1j * symplectic_form(mean.size // 2))
+            omega = metrics.symplectic_form(mean.size // 2)
+            w = np.linalg.eigvalsh(cm + 1j * omega)
             if w[0] < -physical_tol:
                 raise ValueError(
                     f"unphysical covariance: min eig of V + i*Omega is {w[0]:.3e}")
@@ -130,14 +136,11 @@ class TemporalMode:
 
     rate: float
     duration: float
-    direction: str
     sign: int
 
     def __post_init__(self):
         if self.rate <= 0.0 or self.duration <= 0.0:
             raise ValueError("rate and duration must be > 0")
-        if self.direction not in ("in", "out"):
-            raise ValueError("direction must be 'in' or 'out'")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or +1")
 
@@ -152,20 +155,8 @@ class TemporalMode:
         return self.norm_constant * np.exp(self.sign * self.rate * np.asarray(s))
 
     @classmethod
-    def antistokes_input(cls, rate, duration):
-        return cls(rate, duration, "in", +1)
-
-    @classmethod
-    def antistokes_output(cls, rate, duration):
-        return cls(rate, duration, "out", -1)
-
-    @classmethod
-    def stokes_input(cls, rate, duration):
-        return cls(rate, duration, "in", -1)
-
-    @classmethod
     def stokes_output(cls, rate, duration):
-        return cls(rate, duration, "out", +1)
+        return cls(rate, duration, +1)
 
 
 def _check_rates(**rates):
@@ -260,15 +251,14 @@ def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
 
 
 def integrate(state: CovarianceState, dd: DriftDiffusion, duration: float,
-              dt: float, *, check_uncertainty: bool = True,
-              check_every: int = 200, physical_tol: float = 1e-9,
-              norm_bound: float = 1e12) -> CovarianceState:
+              dt: float, *, check_uncertainty: bool = True) -> CovarianceState:
     """Fixed-step RK4 integration of the moment equations over [0, duration].
 
-    Checks the uncertainty relation every ``check_every`` steps and at the
-    end (disable via check_uncertainty=False for runs carrying a partially
-    accumulated filter mode, which is not canonical mid-pulse).  Raises
-    on unphysical covariances and on norm blowup beyond ``norm_bound``.
+    Checks the uncertainty relation every ``_CHECK_EVERY`` steps and at
+    the end (disable via check_uncertainty=False for runs carrying a
+    partially accumulated filter mode, which is not canonical mid-pulse).
+    Raises on unphysical covariances and on a covariance entry beyond
+    ``_NORM_BOUND``.
     """
     if duration <= 0.0:
         raise ValueError("duration must be > 0")
@@ -278,7 +268,7 @@ def integrate(state: CovarianceState, dd: DriftDiffusion, duration: float,
     h = duration / n_steps
     mean = state.mean.copy()
     cm = state.cm.copy()
-    omega = symplectic_form(state.n_modes)
+    omega = metrics.symplectic_form(state.n_modes)
 
     def rhs(t, m, v):
         a = dd.drift_at(t)
@@ -294,14 +284,14 @@ def integrate(state: CovarianceState, dd: DriftDiffusion, duration: float,
         mean = mean + h / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
         cm = cm + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         cm = 0.5 * (cm + cm.T)
-        if not np.all(np.isfinite(cm)) or float(np.max(np.abs(cm))) > norm_bound:
+        if not np.all(np.isfinite(cm)) or float(np.max(np.abs(cm))) > _NORM_BOUND:
             raise RuntimeError(
                 f"covariance blew up at step {step + 1}/{n_steps} "
                 f"(unstable dynamics or dt too large)")
-        if check_uncertainty and ((step + 1) % check_every == 0
+        if check_uncertainty and ((step + 1) % _CHECK_EVERY == 0
                                   or step + 1 == n_steps):
             w = np.linalg.eigvalsh(cm + 1j * omega)
-            if w[0] < -physical_tol:
+            if w[0] < -metrics.PHYSICAL_TOL:
                 raise RuntimeError(
                     f"unphysical covariance at step {step + 1}/{n_steps}: "
                     f"min eig of V + i*Omega is {w[0]:.3e}")
@@ -327,17 +317,16 @@ class AdiabaticRow:
 def validate_adiabatic(cavity_linewidth: float, pulse_area: float,
                        coupling_ratios: Sequence[float], *,
                        process: str = "antistokes",
-                       matter_linewidth: float = 0.0,
-                       initial_occupation: float = 1.0) -> list[AdiabaticRow]:
+                       matter_linewidth: float = 0.0) -> list[AdiabaticRow]:
     """Integrated-vs-closed-form comparison at fixed pulse area.
 
     For each G/kappa, the pulse duration is chosen to keep
     2 G^2 tau / kappa equal to ``pulse_area`` and the full two-mode QLE is
     integrated.  process="antistokes" compares the conversion efficiency
-    1 - n(tau)/n(0) against 1 - exp(-2 area); process="stokes" compares the
-    matter occupation grown from vacuum against exp(2 area) - 1.  The
-    relative error measures the quality of adiabatic cavity elimination and
-    grows with G/kappa.
+    1 - n(tau) of one magnon against 1 - exp(-2 area); process="stokes"
+    compares the matter occupation grown from vacuum against
+    exp(2 area) - 1.  The relative error measures the quality of adiabatic
+    cavity elimination and grows with G/kappa.
     """
     if process not in ("antistokes", "stokes"):
         raise ValueError("process must be 'antistokes' or 'stokes'")
@@ -357,10 +346,9 @@ def validate_adiabatic(cavity_linewidth: float, pulse_area: float,
         dd = build_drift(kind, cavity_linewidth=kappa, coupling=g,
                          matter_linewidth=matter_linewidth)
         if process == "antistokes":
-            init = CovarianceState.thermal([0.0, initial_occupation])
+            init = CovarianceState.thermal([0.0, 1.0])
             final = integrate(init, dd, tau, dt)
-            n0 = initial_occupation
-            integrated = 1.0 - final.occupation(1) / n0
+            integrated = 1.0 - final.occupation(1)
             closed = float(-np.expm1(-2.0 * pulse_area))
         else:
             init = CovarianceState.vacuum(2)
@@ -386,25 +374,22 @@ class RwaComparison:
 
 
 def compare_optomech_rwa(*, cavity_linewidth: float, mech_damping: float,
-                         coupling: float, mech_freq: float, duration: float,
-                         initial_occupation: float = 1.0,
-                         thermal_occupation: float = 0.0) -> RwaComparison:
+                         coupling: float, mech_freq: float,
+                         duration: float) -> RwaComparison:
     """Red-detuned pulse with and without the counter-rotating terms.
 
-    Both runs start from cavity vacuum and the given mechanical occupation
-    and use detuning = mech_freq (red sideband).  The counter-rotating
-    terms oscillate at 2 * mech_freq, so the step size resolves the
-    mechanical frequency.
+    Both runs start from cavity vacuum and one phonon, with a
+    zero-temperature mechanical bath, and use detuning = mech_freq (red
+    sideband).  The counter-rotating terms oscillate at 2 * mech_freq, so
+    the step size resolves the mechanical frequency.
     """
-    init = CovarianceState.thermal([0.0, initial_occupation])
+    init = CovarianceState.thermal([0.0, 1.0])
     dt = default_timestep(cavity_linewidth, mech_freq)
     dd_rwa = build_drift("optomech_red_rwa", cavity_linewidth=cavity_linewidth,
-                         coupling=coupling, matter_linewidth=mech_damping,
-                         thermal_occupation=thermal_occupation)
+                         coupling=coupling, matter_linewidth=mech_damping)
     dd_full = build_drift("optomech_full", cavity_linewidth=cavity_linewidth,
                           coupling=coupling, matter_linewidth=mech_damping,
-                          mech_freq=mech_freq, detuning=mech_freq,
-                          thermal_occupation=thermal_occupation)
+                          mech_freq=mech_freq, detuning=mech_freq)
     occ_rwa = integrate(init, dd_rwa, duration, dt).occupation(1)
     occ_full = integrate(init, dd_full, duration, dt).occupation(1)
     denom = max(abs(occ_rwa), 1e-30)
@@ -462,18 +447,17 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
 
 def stokes_temporal_mode_covariance(cavity_linewidth: float, coupling: float,
                                     duration: float, *,
-                                    matter_linewidth: float = 0.0,
-                                    dt: float | None = None) -> CovarianceState:
+                                    matter_linewidth: float = 0.0) -> CovarianceState:
     """Joint (magnon, output temporal mode) covariance after a Stokes pulse.
 
-    Integrates the cascaded filter system from vacuum and returns the
+    Integrates the cascaded filter system from vacuum at the
+    :func:`default_timestep` of the cavity and matter rates and returns the
     two-mode block; in the weak-coupling limit it approaches a two-mode
     squeezed vacuum with cosh r = exp(pulse area).
     """
     dd = stokes_capture_drift(cavity_linewidth, coupling, duration,
                               matter_linewidth=matter_linewidth)
-    if dt is None:
-        dt = default_timestep(cavity_linewidth, matter_linewidth)
+    dt = default_timestep(cavity_linewidth, matter_linewidth)
     init = CovarianceState(np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]),
                            check=False)
     final = integrate(init, dd, float(duration), dt, check_uncertainty=False)

@@ -62,13 +62,12 @@ class PulseSpec:
 class SwapResult:
     """Conversion efficiency of an anti-Stokes pulse.
 
-    phase_convention documents the deterministic -i picked up per
-    transferred excitation by the beamsplitter realization.
+    The beamsplitter realization stamps a deterministic -i per transferred
+    excitation.
     """
 
     efficiency: float
     pulse_area: float
-    phase_convention: str = "-i per transferred excitation"
 
 
 @dataclass(frozen=True)

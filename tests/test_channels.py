@@ -23,6 +23,13 @@ class TestFiberSpec:
         assert channels.transmittance(channels.FiberSpec(10.0)) == pytest.approx(
             0.630957344480, rel=1e-9)
 
+    def test_stores_floats(self):
+        # a numeric string is accepted and stored as the float it names
+        fiber = channels.FiberSpec(length_km="10")
+        assert fiber.length_km == 10.0
+        assert channels.transmittance(fiber) == pytest.approx(
+            0.630957344480, rel=1e-9)
+
     def test_zero_length_is_transparent(self):
         assert channels.transmittance(channels.FiberSpec(0.0)) == 1.0
 

@@ -369,6 +369,13 @@ class TestEntangleCommand:
         assert "truncation budget exceeded" in err
         assert "raise --truncation" in err
 
+    def test_leak_budget_is_not_a_config_key(self, tmp_path, capsys):
+        # the squeeze leak budget is protocol.SQUEEZE_LEAK_BUDGET, not an option
+        path = write_config(tmp_path, "truncation = 30\nleak_budget = 1e-3\n")
+        code = cli.main(["entangle", path, "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+        assert ":2: unknown key 'leak_budget'" in capsys.readouterr().err
+
 
 class TestFig5Command:
     def test_truncation_leak_exit_code(self, tmp_path, capsys):

@@ -53,10 +53,8 @@ class TestFockKet:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             fock.FockKet((2,), [1.0, 1.0])
-        k = fock.FockKet((2,), [1.0, 1.0], normalize=True)
-        assert k.norm() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError):
-            fock.FockKet((2,), [0.0, 0.0], normalize=True)
+            fock.FockKet((2,), [0.0, 0.0])
 
     def test_amplitudes_frozen(self):
         k = fock.number_ket((3,), (1,))
@@ -255,7 +253,7 @@ class TestTwoModeUnitaries:
         rng = np.random.default_rng(11)
         dims = fock.ModeDims((4, 5))
         amps = rng.normal(size=20) + 1j * rng.normal(size=20)
-        k = fock.FockKet(dims, amps, normalize=True)
+        k = fock.FockKet(dims, amps / np.linalg.norm(amps))
         # leak budget disabled: this checks route agreement, not basis size
         for kind, angle in (("beamsplitter", 0.4), ("two_mode_squeeze", 0.2)):
             out_k = fock.apply_two_mode_exponential(k, 0, 1, kind, angle,
@@ -272,8 +270,8 @@ class TestTwoModeUnitaries:
         rng = np.random.default_rng(5)
         dims = fock.ModeDims((4, 6))
         amps = rng.normal(size=24) + 1j * rng.normal(size=24)
-        k = fock.apply_phase_rotation(fock.FockKet(dims, amps, normalize=True),
-                                      0, 0.7)
+        k = fock.apply_phase_rotation(
+            fock.FockKet(dims, amps / np.linalg.norm(amps)), 0, 0.7)
         angle = 0.45
         out = fock.apply_two_mode_exponential(k, 0, 1, kind, angle,
                                               leak_tol=1.0)

@@ -76,12 +76,12 @@ class TestCovarianceState:
 
 
 class TestTemporalMode:
+    # the decaying (sign -1) anti-Stokes output mode and the growing
+    # (sign +1) Stokes output mode; each input mode has the other's sign
     @pytest.mark.parametrize("ctor", [
-        moments.TemporalMode.antistokes_input,
-        moments.TemporalMode.antistokes_output,
-        moments.TemporalMode.stokes_input,
+        lambda rate, duration: moments.TemporalMode(rate, duration, -1),
         moments.TemporalMode.stokes_output,
-    ])
+    ], ids=["antistokes_output", "stokes_output"])
     def test_unit_norm(self, ctor):
         mode = ctor(2.0 * (TWO_PI * 10e6) ** 2 / KAPPA, 40e-9)
         s = np.linspace(0.0, mode.duration, 20001)
@@ -89,18 +89,15 @@ class TestTemporalMode:
         assert norm == pytest.approx(1.0, rel=1e-8)
 
     def test_signs(self):
-        assert moments.TemporalMode.antistokes_output(1.0, 1.0).sign == -1
-        assert moments.TemporalMode.antistokes_input(1.0, 1.0).sign == +1
         assert moments.TemporalMode.stokes_output(1.0, 1.0).sign == +1
-        assert moments.TemporalMode.stokes_input(1.0, 1.0).sign == -1
+        decaying = moments.TemporalMode(1.0, 1.0, -1)
+        assert decaying.weight(1.0) < decaying.weight(0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="rate and duration"):
-            moments.TemporalMode(0.0, 1.0, "in", 1)
-        with pytest.raises(ValueError, match="direction"):
-            moments.TemporalMode(1.0, 1.0, "sideways", 1)
+            moments.TemporalMode(0.0, 1.0, 1)
         with pytest.raises(ValueError, match="sign"):
-            moments.TemporalMode(1.0, 1.0, "in", 2)
+            moments.TemporalMode(1.0, 1.0, 2)
 
 
 class TestBuildDrift:
@@ -205,22 +202,25 @@ class TestIntegrate:
 
     def test_blowup_raises(self):
         # blue-detuned optomechanics, (c, b^dag) coupled at G: unstable once
-        # 4 G^2 > kappa * gamma, here with no mechanical damping
+        # 4 G^2 > kappa * gamma, here with no mechanical damping.  The
+        # covariance grows e-fold per 0.72 ns and passes the blowup bound
+        # of 1e12 near 20 ns; the uncertainty check is off, since at
+        # entries that large roundoff alone trips it
         g = 0.4 * KAPPA
         drift = np.diag([-KAPPA / 2.0, -KAPPA / 2.0, 0.0, 0.0]) \
             + g * np.fliplr(np.eye(4))
         dd = moments.DriftDiffusion(drift, np.diag([KAPPA, KAPPA, 0.0, 0.0]))
         init = moments.CovarianceState.vacuum(2)
         with pytest.raises(RuntimeError, match="blew up"):
-            moments.integrate(init, dd, 1e-6, moments.default_timestep(KAPPA),
-                              norm_bound=1e6)
+            moments.integrate(init, dd, 30e-9, moments.default_timestep(KAPPA),
+                              check_uncertainty=False)
 
     def test_uncertainty_violation_raises(self):
         # pure contraction with no diffusion squeezes below vacuum
         dd = moments.DriftDiffusion(-np.eye(2), np.zeros((2, 2)))
         init = moments.CovarianceState.vacuum(1)
         with pytest.raises(RuntimeError, match="unphysical"):
-            moments.integrate(init, dd, 10.0, 0.01, check_every=100)
+            moments.integrate(init, dd, 10.0, 0.01)
 
     def test_default_timestep(self):
         assert moments.default_timestep(10.0, 2.0, 0.0) == pytest.approx(

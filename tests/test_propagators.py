@@ -50,7 +50,6 @@ class TestClosedForms:
         assert s.efficiency == pytest.approx(0.182138220055, rel=1e-9)
         w = propagators.conversion_efficiency(CONVERSION_PULSE)
         assert w.efficiency == pytest.approx(0.929930712628, rel=1e-9)
-        assert s.phase_convention == "-i per transferred excitation"
 
     def test_conversion_efficiency_monotone_saturating(self):
         areas = [0.01, 0.1, 1.0, 10.0]

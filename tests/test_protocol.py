@@ -63,10 +63,6 @@ class TestInitialState:
         inv = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(s.ket, [inv, inv])
 
-    def test_superposition_needs_both_amplitudes(self):
-        with pytest.raises(ValueError, match="both amplitudes"):
-            InitialState.superposition(c0=1.0)
-
     def test_pure_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             InitialState("x", ket=[1.0, 1.0])
@@ -124,10 +120,6 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError, match="phonon_thermal_occupation"):
             dataclasses.replace(transfer_scenario(),
                                 phonon_thermal_occupation=-0.1)
-
-    def test_rejects_bad_leak_budget(self):
-        with pytest.raises(ScenarioError, match="leak_budget"):
-            dataclasses.replace(transfer_scenario(), leak_budget=0.0)
 
 
 class TestValidateScenario:
@@ -338,7 +330,7 @@ class TestClosedFormTransfer:
         out = protocol.closed_form_transfer(state, 0.3, 0.7, 0.9, dim=6)
         # photon transferred and survived, or absorbed along the way
         expected = 0.3 * (0.7 * 0.9 + 0.3)
-        assert out.populations.sum() == pytest.approx(expected, rel=1e-12)
+        assert np.trace(out.matrix).real == pytest.approx(expected, rel=1e-12)
 
 
 class TestSwapVacuumContraction:
