@@ -2,11 +2,14 @@
 
 Every closed form in the package leans on eliminating the cavity at
 G << kappa, which turns the pulse into a pure rate 2 G^2 / kappa.  Here
-the full two-mode moment equations are integrated with no elimination at
+the full two-mode moment equations are solved with no elimination at
 all, at fixed pulse area, and compared row by row against the closed
-forms.  The last section repeats the red-detuned conversion pulse with
-the counter-rotating terms kept, putting a number on the rotating-wave
-approximation as well.
+forms.  Their drift is static, so they are propagated exactly by one
+matrix exponential.  The last section repeats the red-detuned conversion
+pulse with the counter-rotating terms kept, putting a number on the
+rotating-wave approximation as well.  The full drift there is
+time-dependent, so that comparison integrates it, and its RWA, by RK4 at
+one step size.
 """
 
 import math

@@ -35,6 +35,19 @@ def lyapunov_solution(a, d, v0, t):
     return (eat @ v0 @ eat.T + p @ (d_eig * phi) @ p.T).real
 
 
+def unstable_drift():
+    """Blue-detuned optomechanics, (c, b^dag) coupled at G = 0.4 kappa.
+
+    Unstable once 4 G^2 > kappa * gamma, here with no mechanical damping:
+    the covariance grows e-fold per 0.72 ns and passes the blowup bound of
+    1e12 near 20 ns.
+    """
+    g = 0.4 * KAPPA
+    drift = np.diag([-KAPPA / 2.0, -KAPPA / 2.0, 0.0, 0.0]) \
+        + g * np.fliplr(np.eye(4))
+    return moments.DriftDiffusion(drift, np.diag([KAPPA, KAPPA, 0.0, 0.0]))
+
+
 class TestCovarianceState:
     def test_vacuum(self):
         s = moments.CovarianceState.vacuum(2)
@@ -201,19 +214,20 @@ class TestIntegrate:
             moments.integrate(init, dd, 1.0, 0.0)
 
     def test_blowup_raises(self):
-        # blue-detuned optomechanics, (c, b^dag) coupled at G: unstable once
-        # 4 G^2 > kappa * gamma, here with no mechanical damping.  The
-        # covariance grows e-fold per 0.72 ns and passes the blowup bound
-        # of 1e12 near 20 ns; the uncertainty check is off, since at
-        # entries that large roundoff alone trips it
-        g = 0.4 * KAPPA
-        drift = np.diag([-KAPPA / 2.0, -KAPPA / 2.0, 0.0, 0.0]) \
-            + g * np.fliplr(np.eye(4))
-        dd = moments.DriftDiffusion(drift, np.diag([KAPPA, KAPPA, 0.0, 0.0]))
+        dd = unstable_drift()
         init = moments.CovarianceState.vacuum(2)
         with pytest.raises(RuntimeError, match="blew up"):
             moments.integrate(init, dd, 30e-9, moments.default_timestep(KAPPA),
                               check_uncertainty=False)
+
+    def test_blowup_raises_with_uncertainty_check(self):
+        # the roundoff allowance of the uncertainty test scales with
+        # max |V|, so the run reaches the blowup bound instead of reading
+        # roundoff on entries near 1e10 as unphysical
+        dd = unstable_drift()
+        init = moments.CovarianceState.vacuum(2)
+        with pytest.raises(RuntimeError, match="blew up"):
+            moments.integrate(init, dd, 30e-9, moments.default_timestep(KAPPA))
 
     def test_uncertainty_violation_raises(self):
         # pure contraction with no diffusion squeezes below vacuum
@@ -229,8 +243,102 @@ class TestIntegrate:
             moments.default_timestep(0.0)
 
 
+def random_physical_drift(rng):
+    """Stable two-mode drift A = Omega H - gamma/2 and thermal diffusion.
+
+    H is a random symmetric Hamiltonian scaled to unit spectral radius of
+    Omega H, and the common damping gamma exceeds twice its largest growth
+    rate.  D = gamma (2 nbar + 1) >= gamma keeps the dynamics physical.
+    """
+    h = rng.standard_normal((4, 4))
+    ham = metrics.symplectic_form(2) @ (h + h.T)
+    ham /= np.max(np.abs(np.linalg.eigvals(ham)))
+    growth = float(np.max(np.linalg.eigvals(ham).real))
+    gamma = 2.0 * growth + rng.uniform(0.5, 2.0)
+    nbar = np.repeat(rng.uniform(0.0, 1.0, 2), 2)
+    return moments.DriftDiffusion(ham - gamma / 2.0 * np.eye(4),
+                                  np.diag(gamma * (2.0 * nbar + 1.0)))
+
+
+class TestPropagateStatic:
+    def test_matches_rk4_on_random_stable_drifts(self):
+        # band, fixed before the run: rates here are at most ~4, so RK4 at
+        # dt = 0.02 sits within 1e-5 of the exact moments, and halving dt
+        # shrinks that gap by 2^4 = 16 up to O(dt) corrections: in (12, 20)
+        rng = np.random.default_rng(37)
+        duration, dt = 2.0, 0.02
+        for _ in range(5):
+            dd = random_physical_drift(rng)
+            init = moments.CovarianceState(rng.uniform(-2.0, 2.0, 4),
+                                           np.diag([1.5, 1.5, 2.0, 2.0]))
+            exact = moments.propagate_static(init, dd, duration)
+            coarse = moments.integrate(init, dd, duration, dt)
+            fine = moments.integrate(init, dd, duration, dt / 2.0)
+            for field in ("cm", "mean"):
+                gap = np.max(np.abs(getattr(coarse, field)
+                                    - getattr(exact, field)))
+                gap_fine = np.max(np.abs(getattr(fine, field)
+                                         - getattr(exact, field)))
+                assert gap < 1e-5
+                assert 12.0 < gap / gap_fine < 20.0
+
+    @pytest.mark.parametrize("ratio", [0.005, 0.1])
+    def test_matches_closed_lyapunov(self, ratio):
+        g = ratio * KAPPA
+        tau = AREA_TRANSFER / (2.0 * g * g / KAPPA)
+        dd = moments.build_drift("magnonic_antistokes", cavity_linewidth=KAPPA,
+                                 coupling=g, matter_linewidth=TWO_PI * 1e6,
+                                 thermal_occupation=0.3)
+        init = moments.CovarianceState.thermal([0.0, 1.0])
+        out = moments.propagate_static(init, dd, tau)
+        ref = lyapunov_solution(dd.drift, dd.diffusion, init.cm, tau)
+        assert np.max(np.abs(out.cm - ref)) < 1e-11
+
+    def test_zero_coupling_zero_matter_linewidth(self):
+        # the drift is singular (the magnon neither couples nor decays), so
+        # a steady-state route has nothing to solve; the magnon block must
+        # stay exactly where it started and the cavity relax to vacuum
+        dd = moments.build_drift("magnonic_antistokes", cavity_linewidth=KAPPA,
+                                 coupling=0.0)
+        magnon = np.array([[4.0, 0.5], [0.5, 0.5]])
+        cm = np.eye(4)
+        cm[:2, :2] = 5.0 * np.eye(2)
+        cm[2:, 2:] = magnon
+        init = moments.CovarianceState([1.0, -2.0, 1.5, -0.5], cm)
+        out = moments.propagate_static(init, dd, 60.0 / KAPPA)
+        np.testing.assert_array_equal(out.cm[2:, 2:], magnon)
+        np.testing.assert_array_equal(out.mean[2:], [1.5, -0.5])
+        np.testing.assert_array_equal(out.cm[:2, 2:], np.zeros((2, 2)))
+        np.testing.assert_allclose(out.cm[:2, :2], np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(out.mean[:2], 0.0, atol=1e-12)
+
+    def test_unstable_drift_blows_up(self):
+        dd = unstable_drift()
+        with pytest.raises(RuntimeError, match="blew up"):
+            moments.propagate_static(moments.CovarianceState.vacuum(2), dd,
+                                     30e-9)
+
+    def test_contraction_without_diffusion_is_unphysical(self):
+        dd = moments.DriftDiffusion(-np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(RuntimeError, match="unphysical"):
+            moments.propagate_static(moments.CovarianceState.vacuum(1), dd,
+                                     10.0)
+
+    def test_argument_validation(self):
+        init = moments.CovarianceState.vacuum(2)
+        dd = moments.build_drift("magnonic_antistokes", cavity_linewidth=1.0,
+                                 coupling=0.1)
+        with pytest.raises(ValueError, match="duration"):
+            moments.propagate_static(init, dd, 0.0)
+        timedep = moments.build_drift("optomech_full", cavity_linewidth=1.0,
+                                      coupling=0.1, mech_freq=5.0,
+                                      detuning=5.0)
+        with pytest.raises(ValueError, match="constant"):
+            moments.propagate_static(init, timedep, 1.0)
+
+
 class TestValidateAdiabatic:
-    """Frozen sweep values; the integration is deterministic."""
+    """Frozen sweep values; the propagation is deterministic."""
 
     def test_antistokes_rows(self):
         rows = moments.validate_adiabatic(KAPPA, AREA_TRANSFER,
