@@ -7,9 +7,8 @@ all, at fixed pulse area, and compared row by row against the closed
 forms.  Their drift is static, so they are propagated exactly by one
 matrix exponential.  The last section repeats the red-detuned conversion
 pulse with the counter-rotating terms kept, putting a number on the
-rotating-wave approximation as well.  The full drift there is
-time-dependent, so that comparison integrates it, and its RWA, by RK4 at
-one step size.
+rotating-wave approximation as well.  In the lab frame that full drift is
+constant too, so it and its RWA are both propagated exactly.
 """
 
 import math

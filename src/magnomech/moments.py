@@ -11,14 +11,15 @@ with zero or small means, so first and second moments suffice:
 with quadratures x = a + a^dag, p = -i(a - a^dag) and vacuum V = identity.
 Static drifts (constant A and D) are propagated exactly: the moments after
 tau are one matrix exponential of the Kronecker-sum generator, computed by
-scaling and squaring.  Time-dependent drifts use fixed-step RK4,
-deterministic for fixed dt.
+scaling and squaring.  The time-dependent capture filter uses fixed-step
+RK4, deterministic for fixed dt.
 
-Drift builders cover the beamsplitter-type (anti-Stokes) and parametric
-(Stokes) magnon-photon pulses, the red-detuned optomechanical pulse in the
-rotating-wave approximation, and the full optomechanical dynamics
-including the counter-rotating terms, which oscillate at detuning + mech
-frequency.
+Each drift kind is written once as its complex mode equations
+d a/dt = M a + N a^dag and converted to the quadrature drift A; every
+kind is constant.  They cover the beamsplitter-type (anti-Stokes) and
+parametric (Stokes) magnon-photon pulses, the red-detuned optomechanical
+pulse in the rotating-wave approximation, and the full optomechanical
+dynamics in the lab frame, counter-rotating terms included.
 
 Output temporal modes are captured by cascading an auxiliary filter
 variable whose weight matches the exponential output profile; its noise is
@@ -163,10 +164,6 @@ class TemporalMode:
     def weight(self, s):
         return self.norm_constant * np.exp(self.sign * self.rate * np.asarray(s))
 
-    @classmethod
-    def stokes_output(cls, rate, duration):
-        return cls(rate, duration, +1)
-
 
 def _check_rates(**rates):
     for name, v in rates.items():
@@ -184,8 +181,10 @@ def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
     mode; quadrature order (x_c, p_c, x_m, p_m).  ``matter_linewidth`` is
     the magnon linewidth or the mechanical damping; its bath occupation is
     ``thermal_occupation``.  ``optomech_full`` additionally needs
-    ``mech_freq`` and ``detuning`` and returns a time-dependent drift with
-    the counter-rotating terms at detuning + mech_freq kept.
+    ``mech_freq`` and ``detuning``: it is the linearized Hamiltonian
+    detuning c^dag c + mech_freq b^dag b - G (c + c^dag)(b + b^dag) in the
+    lab frame, where its drift is constant, and it keeps the
+    counter-rotating terms that ``optomech_red_rwa`` drops.
     """
     if kind not in DRIFT_KINDS:
         raise ValueError(f"unknown drift kind {kind!r}; expected one of {DRIFT_KINDS}")
@@ -199,72 +198,52 @@ def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
     if nbar < 0.0:
         raise ValueError("thermal_occupation must be >= 0")
 
-    decay = np.diag([-kappa / 2.0, -kappa / 2.0, -gm / 2.0, -gm / 2.0])
     diffusion = np.diag([kappa, kappa,
                          gm * (2.0 * nbar + 1.0), gm * (2.0 * nbar + 1.0)])
-
+    damping = np.diag([-kappa / 2.0, -gm / 2.0])
+    pair = np.array([[0.0, 1.0], [1.0, 0.0]])
     if kind == "magnonic_antistokes":
         # da/dt = -k/2 a - iG m ; dm/dt = -gm/2 m - iG a
-        a = decay.copy()
-        a[0, 3] = g
-        a[1, 2] = -g
-        a[2, 1] = g
-        a[3, 0] = -g
-        return DriftDiffusion(a, diffusion)
-
-    if kind == "magnonic_stokes":
+        m, n = damping - 1j * g * pair, 0.0
+    elif kind == "magnonic_stokes":
         # da/dt = -k/2 a - iG m^dag ; dm/dt = -gm/2 m - iG a^dag
-        a = decay.copy()
-        a[0, 3] = -g
-        a[1, 2] = -g
-        a[2, 1] = -g
-        a[3, 0] = -g
-        return DriftDiffusion(a, diffusion)
-
-    if kind == "optomech_red_rwa":
+        m, n = damping, -1j * g * pair
+    elif kind == "optomech_red_rwa":
         # dc/dt = -k/2 c + iG b ; db/dt = -gm/2 b + iG c
-        a = decay.copy()
-        a[0, 3] = -g
-        a[1, 2] = g
-        a[2, 1] = -g
-        a[3, 0] = g
-        return DriftDiffusion(a, diffusion)
+        m, n = damping + 1j * g * pair, 0.0
+    else:
+        # dc/dt = (-k/2 - i delta) c + iG (b + b^dag)
+        # db/dt = (-gm/2 - i wm) b + iG (c + c^dag)
+        if mech_freq is None or detuning is None:
+            raise ValueError("optomech_full needs mech_freq and detuning")
+        wm = float(mech_freq)
+        if wm <= 0.0:
+            raise ValueError("mech_freq must be > 0")
+        rotation = np.diag([float(detuning), wm])
+        m, n = damping - 1j * rotation + 1j * g * pair, 1j * g * pair
+    return DriftDiffusion(_quadrature_drift(m, n), diffusion)
 
-    # optomech_full: counter-rotating terms kept.
-    if mech_freq is None or detuning is None:
-        raise ValueError("optomech_full needs mech_freq and detuning")
-    wm = float(mech_freq)
-    delta = float(detuning)
-    if wm <= 0.0:
-        raise ValueError("mech_freq must be > 0")
 
-    def drift(t: float) -> np.ndarray:
-        a = decay.copy()
-        # dc/dt += iG [ b e^{i(delta-wm)t} + b^dag e^{i(delta+wm)t} ]
-        lam_minus = g * np.exp(1j * (delta - wm) * t)   # on b
-        lam_plus = g * np.exp(1j * (delta + wm) * t)    # on b^dag
-        a[0, 2] += -lam_minus.imag - lam_plus.imag
-        a[0, 3] += -lam_minus.real + lam_plus.real
-        a[1, 2] += lam_minus.real + lam_plus.real
-        a[1, 3] += -lam_minus.imag + lam_plus.imag
-        # db/dt += iG [ c e^{-i(delta-wm)t} + c^dag e^{i(delta+wm)t} ]
-        mu_minus = g * np.exp(-1j * (delta - wm) * t)   # on c
-        mu_plus = g * np.exp(1j * (delta + wm) * t)     # on c^dag
-        a[2, 0] += -mu_minus.imag - mu_plus.imag
-        a[2, 1] += -mu_minus.real + mu_plus.real
-        a[3, 0] += mu_minus.real + mu_plus.real
-        a[3, 1] += -mu_minus.imag + mu_plus.imag
-        return a
+def _quadrature_drift(m: np.ndarray, n: np.ndarray | float) -> np.ndarray:
+    """Real (x, p) drift of the mode equations d a/dt = m a + n a^dag.
 
-    return DriftDiffusion(drift, diffusion)
+    With x = a + a^dag and p = -i(a - a^dag), block (j, k) of the drift is
+    [[Re(m+n), Im(n-m)], [Im(m+n), Re(m-n)]] taken at entry (j, k).
+    """
+    drift = np.empty((2 * m.shape[0], 2 * m.shape[0]))
+    drift[0::2, 0::2] = (m + n).real
+    drift[0::2, 1::2] = (n - m).imag
+    drift[1::2, 0::2] = (m + n).imag
+    drift[1::2, 1::2] = (m - n).real
+    return drift
 
 
 def integrate(state: CovarianceState, dd: DriftDiffusion, duration: float,
               dt: float, *, check_uncertainty: bool = True) -> CovarianceState:
     """Fixed-step RK4 integration of the moment equations over [0, duration].
 
-    For time-dependent drifts; a static one is propagated exactly by
-    :func:`propagate_static`.  Checks the uncertainty relation every
+    For time-dependent drifts, which here means the Stokes capture filter;
+    a static one is propagated exactly by :func:`propagate_static`.  Checks the uncertainty relation every
     ``_CHECK_EVERY`` steps and at the end (disable via
     check_uncertainty=False for runs carrying a partially accumulated
     filter mode, which is not canonical mid-pulse).  Raises on unphysical
@@ -470,18 +449,19 @@ def compare_optomech_rwa(*, cavity_linewidth: float, mech_damping: float,
 
     Both runs start from cavity vacuum and one phonon, with a
     zero-temperature mechanical bath, and use detuning = mech_freq (red
-    sideband).  The counter-rotating terms oscillate at 2 * mech_freq, so
-    the step size resolves the mechanical frequency.
+    sideband).  Both drifts are constant, the full one in the lab frame,
+    so both are propagated exactly by :func:`propagate_static`.  The
+    occupations are the same in every frame, since the damping and the
+    vacuum noise are phase-insensitive.
     """
     init = CovarianceState.thermal([0.0, 1.0])
-    dt = default_timestep(cavity_linewidth, mech_freq)
     dd_rwa = build_drift("optomech_red_rwa", cavity_linewidth=cavity_linewidth,
                          coupling=coupling, matter_linewidth=mech_damping)
     dd_full = build_drift("optomech_full", cavity_linewidth=cavity_linewidth,
                           coupling=coupling, matter_linewidth=mech_damping,
                           mech_freq=mech_freq, detuning=mech_freq)
-    occ_rwa = integrate(init, dd_rwa, duration, dt).occupation(1)
-    occ_full = integrate(init, dd_full, duration, dt).occupation(1)
+    occ_rwa = propagate_static(init, dd_rwa, duration).occupation(1)
+    occ_full = propagate_static(init, dd_full, duration).occupation(1)
     denom = max(abs(occ_rwa), 1e-30)
     return RwaComparison(occupation_full=float(occ_full),
                          occupation_rwa=float(occ_rwa),
@@ -507,7 +487,7 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
     gm = float(matter_linewidth)
     _check_rates(cavity_linewidth=kappa, coupling=g, matter_linewidth=gm)
     gscript = 2.0 * g**2 / kappa
-    mode = TemporalMode.stokes_output(gscript, float(duration))
+    mode = TemporalMode(gscript, float(duration), +1)
     sq = math.sqrt(kappa)
 
     base = build_drift("magnonic_stokes", cavity_linewidth=kappa, coupling=g,

@@ -85,9 +85,8 @@ class TestFockDensityMatrix:
                 fock.FockDensityMatrix((2,), m)
 
     def test_hermiticity_scan_reaches_last_row_block(self):
-        # d = 30 pair matrix; the scan runs in row blocks, and an unmirrored
-        # element whose row and column both sit in the final block (so no
-        # earlier block sees its mirror) must still be caught
+        # a d = 30 pair matrix with one unmirrored element in its last
+        # rows is rejected, and the message reads the element's size
         dims = fock.ModeDims((30, 30))
         m = np.eye(dims.size, dtype=complex) / dims.size
         fock.FockDensityMatrix(dims, m)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from magnomech import metrics, moments
 
@@ -46,6 +47,61 @@ def unstable_drift():
     drift = np.diag([-KAPPA / 2.0, -KAPPA / 2.0, 0.0, 0.0]) \
         + g * np.fliplr(np.eye(4))
     return moments.DriftDiffusion(drift, np.diag([KAPPA, KAPPA, 0.0, 0.0]))
+
+
+def hand_written_drift(kind, kappa, g, gm):
+    """Quadrature drift of the static kinds, placed sign by sign."""
+    a = np.diag([-kappa / 2.0, -kappa / 2.0, -gm / 2.0, -gm / 2.0])
+    signs = {
+        # da/dt = -k/2 a - iG m ; dm/dt = -gm/2 m - iG a
+        "magnonic_antistokes": (1.0, -1.0, 1.0, -1.0),
+        # da/dt = -k/2 a - iG m^dag ; dm/dt = -gm/2 m - iG a^dag
+        "magnonic_stokes": (-1.0, -1.0, -1.0, -1.0),
+        # dc/dt = -k/2 c + iG b ; db/dt = -gm/2 b + iG c
+        "optomech_red_rwa": (-1.0, 1.0, -1.0, 1.0),
+    }[kind]
+    for (row, col), sign in zip(((0, 3), (1, 2), (2, 1), (3, 0)), signs):
+        a[row, col] = sign * g
+    return a
+
+
+def interaction_picture_drift(kappa, gamma, g, mech_freq, detuning):
+    """Full optomechanical moments in the frame rotating with both modes.
+
+    c and b rotate at ``detuning`` and ``mech_freq``, so the coupling
+    terms carry the phases exp(+-i(detuning -+ mech_freq) t) and the drift
+    is time-dependent; every entry is placed by hand.
+    """
+    decay = np.diag([-kappa / 2.0, -kappa / 2.0, -gamma / 2.0, -gamma / 2.0])
+
+    def drift(t):
+        a = decay.copy()
+        # dc/dt += iG [ b e^{i(delta-wm)t} + b^dag e^{i(delta+wm)t} ]
+        lam_minus = g * np.exp(1j * (detuning - mech_freq) * t)   # on b
+        lam_plus = g * np.exp(1j * (detuning + mech_freq) * t)    # on b^dag
+        a[0, 2] += -lam_minus.imag - lam_plus.imag
+        a[0, 3] += -lam_minus.real + lam_plus.real
+        a[1, 2] += lam_minus.real + lam_plus.real
+        a[1, 3] += -lam_minus.imag + lam_plus.imag
+        # db/dt += iG [ c e^{-i(delta-wm)t} + c^dag e^{i(delta+wm)t} ]
+        mu_minus = g * np.exp(-1j * (detuning - mech_freq) * t)  # on c
+        mu_plus = g * np.exp(1j * (detuning + mech_freq) * t)    # on c^dag
+        a[2, 0] += -mu_minus.imag - mu_plus.imag
+        a[2, 1] += -mu_minus.real + mu_plus.real
+        a[3, 0] += mu_minus.real + mu_plus.real
+        a[3, 1] += -mu_minus.imag + mu_plus.imag
+        return a
+
+    return moments.DriftDiffusion(drift, np.diag([kappa, kappa, gamma, gamma]))
+
+
+def rotation(angles):
+    """Quadrature rotation taking each mode a to a exp(i angle)."""
+    r = np.zeros((2 * len(angles), 2 * len(angles)))
+    for k, phi in enumerate(angles):
+        c, s = math.cos(phi), math.sin(phi)
+        r[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
+    return r
 
 
 class TestCovarianceState:
@@ -91,18 +147,18 @@ class TestCovarianceState:
 class TestTemporalMode:
     # the decaying (sign -1) anti-Stokes output mode and the growing
     # (sign +1) Stokes output mode; each input mode has the other's sign
-    @pytest.mark.parametrize("ctor", [
-        lambda rate, duration: moments.TemporalMode(rate, duration, -1),
-        moments.TemporalMode.stokes_output,
-    ], ids=["antistokes_output", "stokes_output"])
-    def test_unit_norm(self, ctor):
-        mode = ctor(2.0 * (TWO_PI * 10e6) ** 2 / KAPPA, 40e-9)
+    @pytest.mark.parametrize("sign", [-1, +1],
+                             ids=["antistokes_output", "stokes_output"])
+    def test_unit_norm(self, sign):
+        mode = moments.TemporalMode(2.0 * (TWO_PI * 10e6) ** 2 / KAPPA, 40e-9,
+                                    sign)
         s = np.linspace(0.0, mode.duration, 20001)
         norm = np.trapezoid(mode.weight(s) ** 2, s)
         assert norm == pytest.approx(1.0, rel=1e-8)
 
     def test_signs(self):
-        assert moments.TemporalMode.stokes_output(1.0, 1.0).sign == +1
+        growing = moments.TemporalMode(1.0, 1.0, +1)
+        assert growing.weight(1.0) > growing.weight(0.0)
         decaying = moments.TemporalMode(1.0, 1.0, -1)
         assert decaying.weight(1.0) < decaying.weight(0.0)
 
@@ -158,15 +214,52 @@ class TestBuildDrift:
         assert dd.diffusion[2, 2] == pytest.approx(TWO_PI * 1e6 * 5.0)
         assert dd.diffusion[0, 0] == pytest.approx(KAPPA)
 
-    def test_full_model_drift_is_time_dependent(self):
-        dd = moments.build_drift("optomech_full", cavity_linewidth=KAPPA,
-                                 coupling=0.02 * KAPPA,
-                                 mech_freq=TWO_PI * 5.3e9,
-                                 detuning=TWO_PI * 5.3e9)
-        assert not dd.is_static
-        a0 = dd.drift_at(0.0)
-        a1 = dd.drift_at(1e-11)
-        assert np.max(np.abs(a0 - a1)) > 0.0
+    @pytest.mark.parametrize("kind", ["magnonic_antistokes", "magnonic_stokes",
+                                      "optomech_red_rwa"])
+    def test_static_kinds_match_hand_written_tables(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            kappa, g, gm = rng.uniform(0.1, 10.0, 3)
+            dd = moments.build_drift(kind, cavity_linewidth=kappa, coupling=g,
+                                     matter_linewidth=gm)
+            np.testing.assert_array_equal(dd.drift,
+                                          hand_written_drift(kind, kappa, g, gm))
+
+    @pytest.mark.parametrize("detuning_over_mech", [1.0, 0.8],
+                             ids=["red_sideband", "off_sideband"])
+    def test_full_model_lab_frame_matches_interaction_picture(
+            self, detuning_over_mech):
+        # band, fixed before the run: DOP853 at rtol 1e-10 over a 2 ns
+        # pulse (about 20 counter-rotating periods) keeps its own error
+        # near 1e-10 relative, so the occupations agree within 1e-9 and
+        # the covariance, rotated into the interaction frame, within 1e-8
+        kappa, gamma = TWO_PI * 1.3e9, TWO_PI * 4.8e3
+        g, wm = TWO_PI * 50e6, TWO_PI * 5.3e9
+        delta, duration = detuning_over_mech * wm, 2e-9
+        init = moments.CovarianceState.thermal([0.0, 1.0])
+        lab = moments.build_drift("optomech_full", cavity_linewidth=kappa,
+                                  coupling=g, matter_linewidth=gamma,
+                                  mech_freq=wm, detuning=delta)
+        assert lab.is_static
+        exact = moments.propagate_static(init, lab, duration)
+        ref = interaction_picture_drift(kappa, gamma, g, wm, delta)
+
+        def rhs(t, y):
+            v = y.reshape(4, 4)
+            a = ref.drift_at(t)
+            return (a @ v + v @ a.T + ref.diffusion_at(t)).reshape(-1)
+
+        sol = solve_ivp(rhs, (0.0, duration), init.cm.reshape(-1),
+                        method="DOP853", rtol=1e-10, atol=1e-12)
+        assert sol.success
+        v_ref = sol.y[:, -1].reshape(4, 4)
+        for mode in (0, 1):
+            x, p = 2 * mode, 2 * mode + 1
+            occ_ref = (v_ref[x, x] + v_ref[p, p] - 2.0) / 4.0
+            assert abs(exact.occupation(mode) - occ_ref) < 1e-9
+        # the interaction frame carries c exp(i delta t), b exp(i wm t)
+        r = rotation([delta * duration, wm * duration])
+        assert np.max(np.abs(r @ exact.cm @ r.T - v_ref)) < 1e-8
 
 
 class TestIntegrate:
@@ -330,9 +423,7 @@ class TestPropagateStatic:
                                  coupling=0.1)
         with pytest.raises(ValueError, match="duration"):
             moments.propagate_static(init, dd, 0.0)
-        timedep = moments.build_drift("optomech_full", cavity_linewidth=1.0,
-                                      coupling=0.1, mech_freq=5.0,
-                                      detuning=5.0)
+        timedep = interaction_picture_drift(1.0, 0.0, 0.1, 5.0, 5.0)
         with pytest.raises(ValueError, match="constant"):
             moments.propagate_static(init, timedep, 1.0)
 
@@ -394,7 +485,9 @@ class TestRwaComparison:
             cavity_linewidth=TWO_PI * 1.3e9, mech_damping=TWO_PI * 4.8e3,
             coupling=TWO_PI * 50e6, mech_freq=TWO_PI * 5.3e9, duration=55e-9)
         assert cmp.occupation_rwa == pytest.approx(0.0696797698085, rel=1e-9)
-        assert cmp.occupation_full == pytest.approx(0.0739131349034, rel=1e-9)
+        # the full model is propagated exactly; DOP853 at rtol 1e-12 on
+        # interaction_picture_drift reads 0.0739131381397 at 55 ns
+        assert cmp.occupation_full == pytest.approx(0.0739131381392, rel=1e-9)
         assert cmp.rel_difference == pytest.approx(0.0607545792202, rel=1e-6)
         # RWA result also tracks the closed-form residual exp(-2 area)
         area = 2.0 * (TWO_PI * 50e6) ** 2 * 55e-9 / (TWO_PI * 1.3e9)
