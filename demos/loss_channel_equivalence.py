@@ -55,7 +55,7 @@ def main():
     one_magnon[1, 1] = 1.0
     s = propagators.conversion_efficiency(propagators.PulseSpec(
         coupling=2 * math.pi * 10e6, cavity_linewidth=2 * math.pi * 500e6,
-        duration=40e-9)).efficiency
+        duration=40e-9))
     for t in (0.955, 0.631):
         post = channels.post_loss_pulse_state(one_magnon, s, t, dim=4)
         print(f"  T = {t}: populations "

@@ -9,34 +9,34 @@ compensates it.
 
 import numpy as np
 
-from magnomech import channels, propagators, protocol
+from magnomech import channels, protocol
 
 
-def describe(report):
+def describe(scenario):
+    """Run the transfer pipeline on the scenario's first state and print it."""
+    report = protocol.run_transfer(scenario)
     print(f"  input state          {report.state_label}")
-    print(f"  swap in (S)          {report.swap_in.efficiency:.6f}  "
-          f"(pulse area {report.swap_in.pulse_area:.6f})")
+    print(f"  swap in (S)          {report.swap_in:.6f}  "
+          f"(pulse area {scenario.magnon_pulse.pulse_area:.6f})")
     print(f"  fiber transmittance  {report.transmittance:.6f}")
-    print(f"  swap out (W)         {report.swap_out.efficiency:.6f}")
+    print(f"  swap out (W)         {report.swap_out:.6f}")
     print(f"  branch probability   {report.branch_probability:.6f}")
     pops = np.real(np.diag(report.phonon_state.matrix))
     print(f"  phonon populations   {np.array2string(pops[:4], precision=6)} ...")
     print(f"  fidelity (engine)    {report.fidelity_engine:.9f}")
     print(f"  fidelity (closed)    {report.fidelity_closed_form:.9f}")
     print(f"  |difference|         {report.fidelity_gap:.3e}")
+    return report
 
 
 def main():
     print("single-magnon transfer, 1 km")
-    near = protocol.run_transfer(protocol.default_transfer_scenario())
-    describe(near)
-    s, w = near.swap_in.efficiency, near.swap_out.efficiency
+    near = describe(protocol.default_transfer_scenario())
+    s, w = near.swap_in, near.swap_out
 
     print()
     print("same pipeline, 10 km")
-    far = protocol.run_transfer(
-        protocol.default_transfer_scenario(fiber_length_km=10.0))
-    describe(far)
+    far = describe(protocol.default_transfer_scenario(fiber_length_km=10.0))
 
     print()
     print("the fidelity for one magnon is just S*T*W:")
@@ -47,10 +47,8 @@ def main():
 
     print()
     print("superposition input (|0> + |1>)/sqrt(2), 1 km")
-    sup = protocol.run_transfer(
-        protocol.default_transfer_scenario(
-            initial_states=(protocol.InitialState.superposition(),)))
-    describe(sup)
+    sup = describe(protocol.default_transfer_scenario(
+        initial_states=(protocol.InitialState.superposition(),)))
     print(f"  without phase fix    {sup.fidelity_engine_uncompensated:.9f}")
     print("  each swap stamps -i per transferred excitation; two swaps give")
     print("  a pi rotation of the coherence, which the pipeline undoes.")

@@ -250,8 +250,8 @@ def cmd_transfer(args) -> int:
         warnings = report.warnings
         rows.append(",".join([
             state.label,
-            _fmt(report.swap_in.efficiency),
-            _fmt(report.swap_out.efficiency),
+            _fmt(report.swap_in),
+            _fmt(report.swap_out),
             _fmt(report.transmittance),
             _fmt(report.fidelity_engine),
             _fmt(report.fidelity_closed_form),

@@ -35,6 +35,9 @@ from . import fock
 # most negative eigenvalue of V + i*Omega accepted as roundoff in a
 # physical covariance matrix V, here and in the moment integration
 PHYSICAL_TOL = 1e-9
+# roundoff allowance of the same test, per unit of max |V|
+# (see _uncertainty_violation)
+_ROUNDOFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,34 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     return np.sort(ev)[::2]  # each nu appears twice
 
 
+def _uncertainty_violation(cm: np.ndarray, physical_tol: float = PHYSICAL_TOL
+                           ) -> float | None:
+    """Min eig of V + i*Omega when the uncertainty relation fails, else None.
+
+    The one uncertainty test of every Gaussian route: the relation fails
+    below -(physical_tol + _ROUNDOFF_TOL * max|V|).  eigvalsh is backward
+    stable, so near the boundary of physical states the computed
+    eigenvalue is off by a small multiple of eps max|V| (eps = 2.2e-16),
+    plus the rounding V carries from the steps that made it: 1.8 eps
+    max|V| over 1,240 RK4 steps and 1.2 eps max|V| after 4 to 8 squarings
+    of the moment propagator, on entries up to 4e11; 2.0e-9 at
+    max|V| = 4.4e6 on the exact squeezed vacuum at r = 8.
+    _ROUNDOFF_TOL = 1e-12, about 4,500 eps, leaves a wide margin; at
+    max|V| of order 1 it adds a thousandth of ``physical_tol``.
+    """
+    omega = symplectic_form(cm.shape[0] // 2)
+    w = float(np.linalg.eigvalsh(cm + 1j * omega)[0])
+    bound = physical_tol + _ROUNDOFF_TOL * float(np.max(np.abs(cm)))
+    return w if w < -bound else None
+
+
 def log_negativity_gaussian(cm: np.ndarray, transpose_modes=(1,)) -> LogNegativity:
     """E_N = max(0, -ln nu_min) after transposing the listed modes.
 
     ``cm`` is a covariance matrix in (x, p) interleaved order with vacuum
     normalized to the identity.  Transposition flips the p quadrature of
     each listed mode.  Raises ValueError when the input covariance matrix
-    is unphysical beyond ``PHYSICAL_TOL``.
+    fails the uncertainty test of :func:`_uncertainty_violation`.
     """
     cm = np.asarray(cm, dtype=float)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
@@ -178,11 +202,10 @@ def log_negativity_gaussian(cm: np.ndarray, transpose_modes=(1,)) -> LogNegativi
     asym = float(np.max(np.abs(cm - cm.T)))
     if asym > 1e-10:
         raise ValueError(f"covariance matrix asymmetric by {asym:.3e}")
-    omega = symplectic_form(n)
-    w = np.linalg.eigvalsh(cm + 1j * omega)
-    if w[0] < -PHYSICAL_TOL:
+    w = _uncertainty_violation(cm)
+    if w is not None:
         raise ValueError(f"unphysical covariance matrix: min eig of V + i*Omega "
-                         f"is {w[0]:.3e}")
+                         f"is {w:.3e}")
     flip = np.ones(2 * n)
     for k in transpose_modes:
         if not 0 <= k < n:

@@ -49,9 +49,6 @@ DT_SAFETY = 0.05
 # magnitude taken as blowup
 _CHECK_EVERY = 200
 _NORM_BOUND = 1e12
-# roundoff allowance of the uncertainty test, per unit of max |V|
-# (see _uncertainty_violation)
-_ROUNDOFF_TOL = 1e-12
 # propagate_static: the scaled generator's 1-norm stays below _TAYLOR_THETA,
 # where the Taylor sum of this degree is exact to 0.5^15 / 15! = 2.3e-17
 _TAYLOR_THETA = 0.5
@@ -78,7 +75,7 @@ class CovarianceState:
             raise ValueError(f"covariance asymmetric by {asym:.3e}")
         cm = 0.5 * (cm + cm.T)
         if check:
-            w = _uncertainty_violation(cm, physical_tol)
+            w = metrics._uncertainty_violation(cm, physical_tol)
             if w is not None:
                 raise ValueError(
                     f"unphysical covariance: min eig of V + i*Omega is {w:.3e}")
@@ -132,37 +129,6 @@ class DriftDiffusion:
     @property
     def is_static(self) -> bool:
         return not (callable(self.drift) or callable(self.diffusion))
-
-
-@dataclass(frozen=True)
-class TemporalMode:
-    """Exponential input/output temporal mode of a pulse.
-
-    weight(s) = N * exp(sign * rate * s) on s in [0, duration], normalized
-    so that the integral of weight^2 equals 1.  Output modes of a
-    beamsplitter pulse decay (sign -1); output modes of a parametric pulse
-    grow (sign +1); the matched input modes carry the opposite sign.
-    """
-
-    rate: float
-    duration: float
-    sign: int
-
-    def __post_init__(self):
-        if self.rate <= 0.0 or self.duration <= 0.0:
-            raise ValueError("rate and duration must be > 0")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be -1 or +1")
-
-    @property
-    def norm_constant(self) -> float:
-        g, tau = self.rate, self.duration
-        if self.sign > 0:
-            return math.sqrt(2.0 * g / (math.exp(2.0 * g * tau) - 1.0))
-        return math.sqrt(2.0 * g / (1.0 - math.exp(-2.0 * g * tau)))
-
-    def weight(self, s):
-        return self.norm_constant * np.exp(self.sign * self.rate * np.asarray(s))
 
 
 def _check_rates(**rates):
@@ -332,28 +298,6 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _uncertainty_violation(cm: np.ndarray,
-                           physical_tol: float = metrics.PHYSICAL_TOL
-                           ) -> float | None:
-    """Min eig of V + i*Omega when the uncertainty relation fails, else None.
-
-    The relation fails below -(physical_tol + _ROUNDOFF_TOL * max|V|).
-    eigvalsh is backward stable, so near the boundary of physical states
-    the computed eigenvalue is off by a small multiple of eps max|V|
-    (eps = 2.2e-16), on top of the relative rounding V carries from the
-    steps that made it.  On the blowing-up drift of the tests (entries up
-    to 4e11) the two together measured 1.8 eps max|V| over 1,240 RK4 steps
-    and 1.2 eps max|V| after 4 to 8 squarings of :func:`_expm`.
-    _ROUNDOFF_TOL = 1e-12, about 4,500 eps, leaves a wide margin over
-    both; at max|V| of order 1 it adds a thousandth of ``physical_tol``,
-    so such covariances are judged as by ``physical_tol`` alone.
-    """
-    omega = metrics.symplectic_form(cm.shape[0] // 2)
-    w = float(np.linalg.eigvalsh(cm + 1j * omega)[0])
-    bound = physical_tol + _ROUNDOFF_TOL * float(np.max(np.abs(cm)))
-    return w if w < -bound else None
-
-
 def _check_moments(cm: np.ndarray, where: str, *,
                    uncertainty: bool = True) -> None:
     """Raise on a non-finite or blown-up covariance, or an unphysical one."""
@@ -361,7 +305,7 @@ def _check_moments(cm: np.ndarray, where: str, *,
         raise RuntimeError(f"covariance blew up {where} "
                            f"(unstable dynamics, or an RK4 step too large)")
     if uncertainty:
-        w = _uncertainty_violation(cm)
+        w = metrics._uncertainty_violation(cm)
         if w is not None:
             raise RuntimeError(f"unphysical covariance {where}: "
                                f"min eig of V + i*Omega is {w:.3e}")
@@ -474,20 +418,25 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
     """Stokes QLE cascaded with the growing output temporal-mode filter.
 
     Modes are (cavity, magnon, capture).  The capture variable accumulates
-    f(t) * a_out(t) with f the normalized growing output profile, so its
-    commutator builds up to the canonical value only at t = duration; the
-    in-pulse covariance is therefore not a mode covariance and uncertainty
-    checks must be deferred to the end of the pulse.  The filter noise is
-    anti-correlated with the cavity input noise (input-output relation
-    a_out = sqrt(kappa) a - a_in), giving time-dependent off-diagonal
-    diffusion.
+    f(t) * a_out(t) with f(t) = N exp(G t) the growing output profile of
+    the pulse, G = 2 g^2 / kappa and N = sqrt(2 G / (exp(2 G tau) - 1))
+    normalizing it on [0, tau] (Kiilerich & Molmer, PRL 123, 123604
+    (2019)).  Its commutator builds up to the canonical value only at
+    t = tau; the in-pulse covariance is therefore not a mode covariance
+    and uncertainty checks must be deferred to the end of the pulse.  The
+    filter noise is anti-correlated with the cavity input noise
+    (input-output relation a_out = sqrt(kappa) a - a_in), giving
+    time-dependent off-diagonal diffusion.
     """
     kappa = float(cavity_linewidth)
     g = float(coupling)
     gm = float(matter_linewidth)
     _check_rates(cavity_linewidth=kappa, coupling=g, matter_linewidth=gm)
     gscript = 2.0 * g**2 / kappa
-    mode = TemporalMode(gscript, float(duration), +1)
+    if gscript == 0.0 or duration <= 0.0:
+        raise ValueError("the capture needs coupling > 0 and duration > 0")
+    norm = math.sqrt(2.0 * gscript / (math.exp(2.0 * gscript * float(duration))
+                                      - 1.0))
     sq = math.sqrt(kappa)
 
     base = build_drift("magnonic_stokes", cavity_linewidth=kappa, coupling=g,
@@ -496,7 +445,7 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
     d22 = base.diffusion
 
     def drift(t: float) -> np.ndarray:
-        f = float(mode.weight(t))
+        f = float(norm * np.exp(gscript * t))
         a = np.zeros((6, 6))
         a[:4, :4] = a22
         a[4, 0] = f * sq   # dF_x/dt += f sqrt(kappa) x_c
@@ -504,7 +453,7 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
         return a
 
     def diffusion(t: float) -> np.ndarray:
-        f = float(mode.weight(t))
+        f = float(norm * np.exp(gscript * t))
         d = np.zeros((6, 6))
         d[:4, :4] = d22
         d[4, 4] = d[5, 5] = f * f

@@ -58,36 +58,14 @@ class PulseSpec:
         return self.coupling / self.cavity_linewidth
 
 
-@dataclass(frozen=True)
-class SwapResult:
-    """Conversion efficiency of an anti-Stokes pulse.
-
-    The beamsplitter realization stamps a deterministic -i per transferred
-    excitation.
-    """
-
-    efficiency: float
-    pulse_area: float
-
-
-@dataclass(frozen=True)
-class SqueezeResult:
-    """Two-mode squeezing parameter of a Stokes pulse."""
-
-    squeezing: float
-    pulse_area: float
-
-
-def conversion_efficiency(pulse: PulseSpec) -> SwapResult:
+def conversion_efficiency(pulse: PulseSpec) -> float:
     """eta = 1 - exp(-2 * gscript * tau) for an anti-Stokes pulse."""
-    area = pulse.pulse_area
-    return SwapResult(efficiency=float(-np.expm1(-2.0 * area)), pulse_area=area)
+    return float(-np.expm1(-2.0 * pulse.pulse_area))
 
 
-def squeezing_parameter(pulse: PulseSpec) -> SqueezeResult:
+def squeezing_parameter(pulse: PulseSpec) -> float:
     """r with cosh(r) = exp(gscript * tau) for a Stokes pulse."""
-    area = pulse.pulse_area
-    return SqueezeResult(squeezing=float(np.arccosh(np.exp(area))), pulse_area=area)
+    return float(np.arccosh(np.exp(pulse.pulse_area)))
 
 
 def apply_antistokes_swap(state, source_mode: int, field_mode: int,
@@ -106,15 +84,14 @@ def apply_antistokes_swap(state, source_mode: int, field_mode: int,
 
 
 def apply_stokes_squeeze(state, magnon_mode: int, field_mode: int,
-                         squeezing: float, *,
-                         leak_tol: float = fock.DEFAULT_LEAK_TOL):
+                         squeezing: float):
     """Two-mode squeeze of magnon and field mode by parameter r >= 0.
 
-    Raises :class:`magnomech.fock.TruncationLeakError` when the squeezed
-    state reaches the top of the truncated basis beyond ``leak_tol``.
+    Checks no truncation budget: the caller measures the squeezed pair's
+    :func:`magnomech.fock.truncation_leak` and judges it.
     """
     r = float(squeezing)
     if r < 0.0 or not np.isfinite(r):
         raise ValueError(f"squeezing must be finite and >= 0, got {r!r}")
     return fock.apply_two_mode_exponential(
-        state, magnon_mode, field_mode, "two_mode_squeeze", r, leak_tol=leak_tol)
+        state, magnon_mode, field_mode, "two_mode_squeeze", r)

@@ -54,11 +54,11 @@ SIDEBAND_BOUND = 1.0 / 3.0       # fastest optomech rate per mech frequency
 
 DEFAULT_TRANSFER_TRUNCATION = 12
 DEFAULT_SQUEEZE_TRUNCATION = 30
-# squeezing runs (fig5 and entangle) tolerate more edge population than the
-# 1e-8 engine default: the sweep spans r up to 1.5 at truncation 30, where
-# the truncated unitary reflects tail weight into the top shell (1.9e-3
-# there, with an E_N error of 9.8e-2 at W = 1); the 1e-3 E_N target holds
-# only over the asserted range r <= 1 (5.1e-4 at r = 1)
+# the one truncation budget, checked on every squeezed pair of the
+# squeezing runs (fig5 and entangle): the sweep spans r up to 1.5 at
+# truncation 30, where the truncated unitary reflects tail weight into the
+# top shell (1.9e-3 there, with an E_N error of 9.8e-2 at W = 1); the 1e-3
+# E_N target holds only over the asserted range r <= 1 (5.1e-4 at r = 1)
 SQUEEZE_LEAK_BUDGET = 2e-3
 
 
@@ -112,16 +112,15 @@ class MechanicalNodeSpec:
     mech_freq: float
     cavity_linewidth: float
     mech_damping: float
-    drive_detuning: float | None = None
+    drive_detuning: float
 
     def __post_init__(self):
         _require_positive(self, ("cavity_freq", "mech_freq", "cavity_linewidth",
                                  "mech_damping"))
-        if self.drive_detuning is not None:
-            v = float(self.drive_detuning)
-            if not np.isfinite(v):
-                raise ScenarioError("drive_detuning must be finite")
-            object.__setattr__(self, "drive_detuning", v)
+        v = float(self.drive_detuning)
+        if not np.isfinite(v):
+            raise ScenarioError("drive_detuning must be finite")
+        object.__setattr__(self, "drive_detuning", v)
 
 
 class InitialState:
@@ -273,7 +272,7 @@ def validate_scenario(scenario: ScenarioConfig) -> list[ValidationCheck]:
     """
     mag = scenario.magnonic
     mech = scenario.mechanical
-    checks = [
+    return [
         _check(
             "triple_resonance",
             abs(mag.mode_splitting - mag.magnon_freq) / mag.magnon_freq,
@@ -310,14 +309,12 @@ def validate_scenario(scenario: ScenarioConfig) -> list[ValidationCheck]:
                 scenario.mech_pulse.coupling) / mech.mech_freq,
             SIDEBAND_BOUND,
             "fastest optomechanical rate per mechanical frequency"),
-    ]
-    if mech.drive_detuning is not None:
-        checks.append(_check(
+        _check(
             "red_detuning",
             abs(mech.drive_detuning - mech.mech_freq) / mech.mech_freq,
             DETUNING_RTOL,
-            "cavity drive detuning off the mechanical frequency (relative)"))
-    return checks
+            "cavity drive detuning off the mechanical frequency (relative)"),
+    ]
 
 
 def _warnings_from(checks: Sequence[ValidationCheck]) -> tuple[str, ...]:
@@ -329,8 +326,8 @@ class TransferReport:
     """Everything the transfer pipeline measured for one initial state."""
 
     state_label: str
-    swap_in: propagators.SwapResult
-    swap_out: propagators.SwapResult
+    swap_in: float    # swap efficiency S
+    swap_out: float   # swap efficiency W
     transmittance: float
     truncation: int
     phonon_state: fock.FockDensityMatrix
@@ -400,7 +397,7 @@ def run_transfer(scenario: ScenarioConfig,
 
     # row m of a contraction table moves level n to n + occupied - m,
     # row k of the loss table moves it to n - k
-    swap_in = _contraction_diagonals(d, d, s_eff.efficiency, d)
+    swap_in = _contraction_diagonals(d, d, s_eff, d)
     fiber = channels.loss_kraus_operators(d, t_fiber)
     down = -np.arange(d)   # the shifts of both, with occupied = 0
     # truncated geometric phonon distribution, renormalized to unit trace
@@ -410,7 +407,7 @@ def run_transfer(scenario: ScenarioConfig,
     # one table per phonon level k of nonzero weight, indexed by m
     levels = [k for k, p in enumerate(weights) if p > 0.0]
     swap_out = np.stack([math.sqrt(weights[k])
-                         * _contraction_diagonals(d, d, w_eff.efficiency, d, k)
+                         * _contraction_diagonals(d, d, w_eff, d, k)
                          for k in levels], axis=1)
 
     rho_m = state.density(d).matrix
@@ -432,8 +429,7 @@ def run_transfer(scenario: ScenarioConfig,
     if target is not None:
         f_engine = metrics.fidelity_pure_target(target, compensated)
         f_raw = metrics.fidelity_pure_target(target, phonon_branch)
-        closed = closed_form_transfer(state, s_eff.efficiency, t_fiber,
-                                      w_eff.efficiency, dim=d)
+        closed = closed_form_transfer(state, s_eff, t_fiber, w_eff, dim=d)
         f_closed = closed.fidelity
     else:
         f_engine = f_raw = f_closed = None
@@ -560,17 +556,20 @@ class _Entangled(NamedTuple):
     en_traced: metrics.LogNegativity | None
 
 
-def _squeezed_vacuum(d: int, squeezing: float,
-                     leak_tol: float) -> tuple[np.ndarray, float]:
+def _squeezed_vacuum(d: int, squeezing: float) -> tuple[np.ndarray, float]:
     """Two-mode squeezed (magnon, pulse) vacuum as a d x d amplitude matrix.
 
     Returns the amplitudes psi[magnon, pulse] and the truncation leak of
-    the pair; raises TruncationLeakError when the leak exceeds ``leak_tol``.
+    the pair; raises TruncationLeakError when the leak exceeds
+    ``SQUEEZE_LEAK_BUDGET``.
     """
     pair = propagators.apply_stokes_squeeze(
-        fock.number_ket(fock.ModeDims((d, d)), (0, 0)), 0, 1, squeezing,
-        leak_tol=leak_tol)
-    return pair.amplitudes.reshape(d, d), fock.truncation_leak(pair, (0, 1))
+        fock.number_ket(fock.ModeDims((d, d)), (0, 0)), 0, 1, squeezing)
+    leak = fock.truncation_leak(pair, (0, 1))
+    if leak > SQUEEZE_LEAK_BUDGET:
+        raise fock.TruncationLeakError(leak, SQUEEZE_LEAK_BUDGET,
+                                       context="two-mode squeeze")
+    return pair.amplitudes.reshape(d, d), leak
 
 
 def _sector_stack(c: np.ndarray, loss: np.ndarray,
@@ -661,8 +660,8 @@ def run_entanglement(scenario: ScenarioConfig) -> EntangleReport:
     checks = validate_scenario(scenario)
     warnings = _warnings_from(checks)
     d = scenario.truncation
-    r = propagators.squeezing_parameter(scenario.magnon_pulse).squeezing
-    w_eff = propagators.conversion_efficiency(scenario.mech_pulse).efficiency
+    r = propagators.squeezing_parameter(scenario.magnon_pulse)
+    w_eff = propagators.conversion_efficiency(scenario.mech_pulse)
     if scenario.include_loss_in_entanglement:
         t_fiber = channels.transmittance(scenario.fiber)
         warnings = warnings + (
@@ -671,7 +670,7 @@ def run_entanglement(scenario: ScenarioConfig) -> EntangleReport:
     else:
         t_fiber = 1.0
 
-    psi, leak = _squeezed_vacuum(d, r, SQUEEZE_LEAK_BUDGET)
+    psi, leak = _squeezed_vacuum(d, r)
     core = _entangle(psi, w_eff, t_fiber, traced=True)
     combined = w_eff * t_fiber
     return EntangleReport(
@@ -713,7 +712,7 @@ def entanglement_curves(squeezings: Sequence[float],
     """
     d = int(truncation)
     rs = [float(r) for r in squeezings]
-    pairs = [_squeezed_vacuum(d, r, SQUEEZE_LEAK_BUDGET)[0] for r in rs]
+    pairs = [_squeezed_vacuum(d, r)[0] for r in rs]
     points = []
     for eta in efficiencies:
         eta = float(eta)

@@ -42,8 +42,8 @@ def fig5_runs(tmp_path_factory):
 
 
 def test_criterion_01_conversion_efficiencies():
-    s = propagators.conversion_efficiency(MAGNON_PULSE_40NS).efficiency
-    w = propagators.conversion_efficiency(MECH_PULSE_55NS).efficiency
+    s = propagators.conversion_efficiency(MAGNON_PULSE_40NS)
+    w = propagators.conversion_efficiency(MECH_PULSE_55NS)
     print(f"criterion 1: S = {s:.9f} (band 0.175..0.185), "
           f"W = {w:.9f} (band 0.925..0.935)")
     assert abs(s - 0.18) <= 0.005
@@ -52,7 +52,7 @@ def test_criterion_01_conversion_efficiencies():
 
 def test_criterion_02_squeezing_strength():
     area = MAGNON_PULSE_30NS.pulse_area
-    r = propagators.squeezing_parameter(MAGNON_PULSE_30NS).squeezing
+    r = propagators.squeezing_parameter(MAGNON_PULSE_30NS)
     en = metrics.closed_form_log_negativity(r, 1.0).value
     print(f"criterion 2: pulse area = {area:.9f} (band 0.074..0.076), "
           f"r = {r:.9f} (band 0.385..0.395), E_N = {en:.9f} (band 0.77..0.79)")
@@ -79,7 +79,7 @@ def test_criterion_04_transfer_fidelity():
           f"(band 0.095..0.105); engine-vs-closed gaps "
           f"{near.fidelity_gap:.3e} and {far.fidelity_gap:.3e}")
     print("criterion 4: note S*T*W at 10 km evaluates to "
-          f"{far.swap_in.efficiency * far.transmittance * far.swap_out.efficiency:.9f}, "
+          f"{far.swap_in * far.transmittance * far.swap_out:.9f}, "
           "outside the stated 0.10 +/- 0.005 band; reported as measured")
     assert near.fidelity_gap < 1e-8
     assert far.fidelity_gap < 1e-8
@@ -92,8 +92,8 @@ def test_criterion_05_lossless_formulas():
     states.append(protocol.InitialState.superposition())
     scenario = protocol.default_transfer_scenario(
         fiber_length_km=0.0, truncation=24, initial_states=states)
-    s = propagators.conversion_efficiency(scenario.magnon_pulse).efficiency
-    w = propagators.conversion_efficiency(scenario.mech_pulse).efficiency
+    s = propagators.conversion_efficiency(scenario.magnon_pulse)
+    w = propagators.conversion_efficiency(scenario.mech_pulse)
     sw = s * w
     expected = [sw**n for n in range(4)]
     expected.append(0.25 * (1.0 + math.sqrt(sw)) ** 2)

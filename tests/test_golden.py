@@ -1,0 +1,92 @@
+"""Golden CLI outputs: the CSV contract held to 12 digits as a test.
+
+Each run's header and text cells must match its recorded file exactly and
+every numeric cell to 1e-12 absolute.  The ``#`` manifest lines are left
+out: they carry the config and output paths of the recording run.
+
+Regenerate after an intended output change with
+``PYTHONPATH=src python3 tests/test_golden.py`` and list the changed
+lines with the change.
+"""
+
+import pathlib
+
+import pytest
+
+from magnomech import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+CONFIGS = pathlib.Path(__file__).parents[1] / "configs"
+ABS_TOL = 1e-12
+
+# configs written at run time, for runs no shipped config covers
+EXTRA_CONFIGS = {
+    "thermal.txt": "phonon_thermal_occupation = 0.2\n"
+                   "truncation = 24\n"
+                   "initial_states = fock:1,superposition,fock:2\n",
+    "lossy_10km.txt": "fiber_length_km = 10.0\n"
+                      "include_loss_in_entanglement = true\n",
+}
+
+# golden name -> (command, config: shipped name, extra name, or None)
+RUNS = {
+    "transfer_1km": ("transfer", "transfer_1km.txt"),
+    "transfer_10km": ("transfer", "transfer_10km.txt"),
+    "transfer_thermal": ("transfer", "thermal.txt"),
+    "entangle_default": ("entangle", "entangle_default.txt"),
+    "entangle_lossy_10km": ("entangle", "lossy_10km.txt"),
+    "fig5": ("fig5", None),
+    "qle_antistokes": ("qle", "qle_antistokes.txt"),
+    "qle_stokes": ("qle", "qle_stokes.txt"),
+}
+
+
+def run_body(name, workdir):
+    """The non-manifest lines of one CLI run, written under ``workdir``."""
+    command, config = RUNS[name]
+    argv = [command]
+    if config in EXTRA_CONFIGS:
+        path = workdir / config
+        path.write_text(EXTRA_CONFIGS[config], encoding="utf-8")
+        argv.append(str(path))
+    elif config is not None:
+        argv.append(str(CONFIGS / config))
+    out = workdir / f"{name}.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return [ln for ln in out.read_text(encoding="utf-8").splitlines()
+            if not ln.startswith("#")]
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_matches_golden(name, tmp_path):
+    expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+    got = run_body(name, tmp_path)
+    assert got[0] == expected[0], "header changed"
+    assert len(got) == len(expected), "row count changed"
+    for row, (line, ref) in enumerate(zip(got[1:], expected[1:]), start=1):
+        cells, ref_cells = line.split(","), ref.split(",")
+        assert len(cells) == len(ref_cells), f"row {row}: column count changed"
+        for col, (cell, ref_cell) in enumerate(zip(cells, ref_cells)):
+            want = _number(ref_cell)
+            if want is None:
+                assert cell == ref_cell, f"row {row}, column {col}"
+            else:
+                assert _number(cell) == pytest.approx(want, rel=0.0, abs=ABS_TOL), \
+                    f"row {row}, column {col}: {cell} vs golden {ref_cell}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for golden_name in sorted(RUNS):
+            body = run_body(golden_name, pathlib.Path(tmp))
+            (GOLDEN / f"{golden_name}.csv").write_text("\n".join(body) + "\n",
+                                                      encoding="utf-8")

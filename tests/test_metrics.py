@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from magnomech import channels, fock, metrics, protocol
+from magnomech import channels, fock, metrics, moments, protocol
 
 
 def tmsv_table(d, r):
@@ -94,8 +94,7 @@ def dense_entangle_states(d, squeezing, efficiency, transmittance):
     dense rho = B B^H, with B built column by column from the dense Kraus
     operators and the swap contractions <m, .|U|., 0>, sliced out of the
     dense beamsplitter; also the branch probability."""
-    psi, _ = protocol._squeezed_vacuum(d, squeezing,
-                                       protocol.SQUEEZE_LEAK_BUDGET)
+    psi, _ = protocol._squeezed_vacuum(d, squeezing)
     kets = [psi @ np.diag(row[k:], k).T for k, row in
             enumerate(channels.loss_kraus_operators(d, transmittance))]
     u = fock.two_mode_unitary(d, d, "beamsplitter",
@@ -231,8 +230,7 @@ class TestPureNegativity:
     def test_matches_ppt_on_squeezed_pair(self, r):
         dims = fock.ModeDims((30, 30))
         pair = fock.apply_two_mode_exponential(
-            fock.number_ket(dims, (0, 0)), 0, 1, "two_mode_squeeze", r,
-            leak_tol=1e-2)
+            fock.number_ket(dims, (0, 0)), 0, 1, "two_mode_squeeze", r)
         en = metrics.log_negativity_pure(pair).value
         assert en == pytest.approx(
             metrics.log_negativity_fock(pair.density_matrix(), (1,)).value,
@@ -318,6 +316,19 @@ class TestGaussianNegativity:
     def test_rejects_unphysical(self):
         with pytest.raises(ValueError, match="unphysical"):
             metrics.log_negativity_gaussian(0.5 * np.eye(4), (1,))
+
+    @pytest.mark.parametrize("r", [6.0, 8.0, 10.0])
+    def test_one_uncertainty_test_for_every_route(self, r):
+        # the exact squeezed vacuum sits on the boundary of physical
+        # states; at r = 8 roundoff puts min eig of V + i*Omega at -2e-9,
+        # against max |V| = 4.4e6, and both routes must read it as physical
+        cm = tmsv_cm(r)
+        metrics.log_negativity_gaussian(cm, (1,))
+        moments.CovarianceState(np.zeros(4), cm)
+        for reject in (lambda v: metrics.log_negativity_gaussian(v, (1,)),
+                       lambda v: moments.CovarianceState(np.zeros(4), v)):
+            with pytest.raises(ValueError, match="unphysical"):
+                reject(0.5 * np.eye(4))
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -144,31 +144,6 @@ class TestCovarianceState:
             moments.CovarianceState(np.zeros(3), np.eye(3))
 
 
-class TestTemporalMode:
-    # the decaying (sign -1) anti-Stokes output mode and the growing
-    # (sign +1) Stokes output mode; each input mode has the other's sign
-    @pytest.mark.parametrize("sign", [-1, +1],
-                             ids=["antistokes_output", "stokes_output"])
-    def test_unit_norm(self, sign):
-        mode = moments.TemporalMode(2.0 * (TWO_PI * 10e6) ** 2 / KAPPA, 40e-9,
-                                    sign)
-        s = np.linspace(0.0, mode.duration, 20001)
-        norm = np.trapezoid(mode.weight(s) ** 2, s)
-        assert norm == pytest.approx(1.0, rel=1e-8)
-
-    def test_signs(self):
-        growing = moments.TemporalMode(1.0, 1.0, +1)
-        assert growing.weight(1.0) > growing.weight(0.0)
-        decaying = moments.TemporalMode(1.0, 1.0, -1)
-        assert decaying.weight(1.0) < decaying.weight(0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="rate and duration"):
-            moments.TemporalMode(0.0, 1.0, 1)
-        with pytest.raises(ValueError, match="sign"):
-            moments.TemporalMode(1.0, 1.0, 2)
-
-
 class TestBuildDrift:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown drift kind"):
@@ -496,6 +471,25 @@ class TestRwaComparison:
 
 
 class TestTemporalModeCapture:
+    def test_filter_weight_is_the_normalized_growing_profile(self):
+        # the filter weight f enters the capture diffusion as f^2: it is
+        # the growing Stokes output profile N exp(G t), G = 2 g^2 / kappa,
+        # of unit norm on the pulse
+        g, tau = TWO_PI * 10e6, 40e-9
+        dd = moments.stokes_capture_drift(KAPPA, g, tau)
+        s = np.linspace(0.0, tau, 20001)
+        f2 = np.array([dd.diffusion_at(t)[4, 4] for t in s])
+        assert np.trapezoid(f2, s) == pytest.approx(1.0, rel=1e-8)
+        np.testing.assert_allclose(
+            f2, f2[0] * np.exp(4.0 * g**2 / KAPPA * s), rtol=1e-12)
+        # the drift feeds sqrt(kappa) f of the cavity into the filter
+        assert dd.drift_at(tau)[4, 0] ** 2 == pytest.approx(KAPPA * f2[-1],
+                                                           rel=1e-12)
+        # no coupling or no pulse: there is no output profile to capture
+        for g, tau in ((0.0, 40e-9), (TWO_PI * 10e6, 0.0)):
+            with pytest.raises(ValueError, match="coupling > 0 and duration"):
+                moments.stokes_capture_drift(KAPPA, g, tau)
+
     def test_stokes_output_mode_entanglement(self):
         cs = moments.stokes_temporal_mode_covariance(KAPPA, TWO_PI * 10e6,
                                                      30e-9)

@@ -36,7 +36,7 @@ class TestNodeSpecs:
         with pytest.raises(ScenarioError, match="mech_damping"):
             protocol.MechanicalNodeSpec(
                 cavity_freq=1.0, mech_freq=1.0, cavity_linewidth=1.0,
-                mech_damping=-1.0)
+                mech_damping=-1.0, drive_detuning=1.0)
 
     def test_drive_detuning_must_be_finite(self):
         with pytest.raises(ScenarioError, match="drive_detuning"):
@@ -138,14 +138,6 @@ class TestValidateScenario:
                   protocol.validate_scenario(transfer_scenario())}
         assert checks["sideband_resolved"].value == pytest.approx(1.3 / 5.3)
 
-    def test_no_detuning_drops_the_check(self):
-        sc = transfer_scenario()
-        mech = dataclasses.replace(sc.mechanical, drive_detuning=None)
-        checks = protocol.validate_scenario(dataclasses.replace(
-            sc, mechanical=mech))
-        assert len(checks) == 7
-        assert "red_detuning" not in [c.name for c in checks]
-
     def test_off_sideband_drive_fails(self):
         sc = transfer_scenario()
         mech = dataclasses.replace(sc.mechanical,
@@ -172,8 +164,7 @@ class TestRunTransfer:
         assert rep.fidelity_engine == pytest.approx(0.161752752409, rel=1e-9)
         assert rep.fidelity_gap < 1e-12
         assert rep.warnings == ()
-        s, t, w = rep.swap_in.efficiency, rep.transmittance, \
-            rep.swap_out.efficiency
+        s, t, w = rep.swap_in, rep.transmittance, rep.swap_out
         assert rep.branch_probability == pytest.approx(
             s * (t * w + 1.0 - t), rel=1e-12)
 
@@ -187,8 +178,8 @@ class TestRunTransfer:
         sc = transfer_scenario(initial_states=(state,))
         rep = protocol.run_transfer(sc)
         closed = protocol.closed_form_transfer(
-            state, rep.swap_in.efficiency, rep.transmittance,
-            rep.swap_out.efficiency, dim=sc.truncation)
+            state, rep.swap_in, rep.transmittance,
+            rep.swap_out, dim=sc.truncation)
         np.testing.assert_allclose(rep.phonon_state.matrix, closed.matrix,
                                    atol=1e-12)
 
@@ -200,8 +191,8 @@ class TestRunTransfer:
         assert rep.fidelity_closed_form is None
         assert rep.fidelity_gap is None
         closed = protocol.closed_form_transfer(
-            state, rep.swap_in.efficiency, rep.transmittance,
-            rep.swap_out.efficiency, dim=sc.truncation)
+            state, rep.swap_in, rep.transmittance,
+            rep.swap_out, dim=sc.truncation)
         np.testing.assert_allclose(rep.phonon_state.matrix, closed.matrix,
                                    atol=1e-12)
 
@@ -263,14 +254,14 @@ class TestRunTransfer:
                 fock.tensor(rho, partner), 0, 1, efficiency)
 
         stage = swap(state.density(d), fock.vacuum((d,)),
-                     rep.swap_in.efficiency)
+                     rep.swap_in)
         pulses = [channels.apply_loss(pulse, 0, rep.transmittance)
                   for pulse in (fock.condition_on_vacuum(stage, 0),
                                 fock.partial_trace(stage, 0))]
         branch = fock.condition_on_vacuum(
-            swap(pulses[0], phonon, rep.swap_out.efficiency), 0)
+            swap(pulses[0], phonon, rep.swap_out), 0)
         traced = fock.partial_trace(
-            swap(pulses[1], phonon, rep.swap_out.efficiency), 0)
+            swap(pulses[1], phonon, rep.swap_out), 0)
         branch = fock.apply_phase_rotation(branch, 0, math.pi)
         np.testing.assert_allclose(rep.phonon_state.matrix, branch.matrix,
                                    rtol=0, atol=1e-12)
@@ -486,7 +477,7 @@ class TestRunEntanglement:
         assert rep.en_fock.value == pytest.approx(0.536333486507, rel=1e-11)
 
     def test_sector_route_needs_a_diagonal_pair(self):
-        psi, _ = protocol._squeezed_vacuum(6, 0.3, 1e-2)
+        psi, _ = protocol._squeezed_vacuum(6, 0.3)
         assert protocol._entangle(psi, 0.9, 0.8,
                                   traced=True).en_traced.method == "fock_ppt"
         psi = psi.copy()
@@ -509,6 +500,26 @@ class TestRunEntanglement:
         sc = dataclasses.replace(sc, magnon_pulse=pulse)
         with pytest.raises(TruncationLeakError):
             protocol.run_entanglement(sc)
+
+    def test_squeeze_leak_checked_once_against_the_budget(self, monkeypatch):
+        # the pipeline measures each squeezed pair's leak once and holds it
+        # to SQUEEZE_LEAK_BUDGET; the squeeze itself checks no budget
+        leaks = []
+        measure = fock.truncation_leak
+
+        def counted(state, modes):
+            leaks.append(measure(state, modes))
+            return leaks[-1]
+
+        monkeypatch.setattr(fock, "truncation_leak", counted)
+        protocol.entanglement_curves((0.1, 0.4), (1.0, 0.5), truncation=12)
+        assert len(leaks) == 2
+        with pytest.raises(TruncationLeakError) as exc:
+            protocol._squeezed_vacuum(8, 1.2)
+        assert len(leaks) == 3
+        assert exc.value.leak == leaks[-1] > protocol.SQUEEZE_LEAK_BUDGET
+        assert exc.value.budget == protocol.SQUEEZE_LEAK_BUDGET
+        assert str(exc.value).startswith("two-mode squeeze: truncation leak")
 
 
 class TestEntanglementCurves:
@@ -551,6 +562,61 @@ class TestEntanglementCurves:
         points = protocol.entanglement_curves((0.1, 0.3, 0.6), (0.8,))
         vals = [p.en_fock for p in points]
         assert vals == sorted(vals)
+
+
+def engine_fields():
+    """Every engine-route number of the transfer and entanglement runs."""
+    ground = transfer_scenario(initial_states=(
+        InitialState.fock(1), InitialState.superposition(),
+        InitialState("mixed", table=MIXED_TABLE)))
+    thermal = dataclasses.replace(transfer_scenario(
+        truncation=24, initial_states=(
+            InitialState.fock(1), InitialState.superposition(),
+            InitialState.fock(2))), phonon_thermal_occupation=0.2)
+    fields = {}
+    for name, sc in (("ground", ground), ("thermal", thermal)):
+        for state in sc.initial_states:
+            rep = protocol.run_transfer(sc, state)
+            fields[f"transfer,{name},{state.label}"] = (
+                rep.phonon_state.matrix, rep.phonon_state_traced.matrix,
+                rep.fidelity_engine)
+    lossless = protocol.default_entanglement_scenario()
+    lossy = dataclasses.replace(
+        lossless, include_loss_in_entanglement=True,
+        fiber=dataclasses.replace(lossless.fiber, length_km=10.0))
+    for name, sc in (("lossless", lossless), ("lossy", lossy)):
+        rep = protocol.run_entanglement(sc)
+        fields[f"entangle,{name}"] = (rep.en_fock.value, rep.en_traced.value)
+    fields["curves"] = tuple(p.en_fock for p in protocol.entanglement_curves(
+        (0.0, 0.3, 0.9), (1.0, 0.4), truncation=16))
+    return fields
+
+
+class TestRouteIndependence:
+    def test_engine_reads_no_closed_form(self, monkeypatch):
+        # with every closed form patched to NaN, no engine number may move
+        # by a single bit: the engine must never borrow the oracle's formula
+        before = engine_fields()
+        nan = float("nan")
+        monkeypatch.setattr(metrics, "closed_form_log_negativity",
+                            lambda *a, **k: metrics.LogNegativity(nan, "nan"))
+        monkeypatch.setattr(metrics, "effective_squeezing", lambda *a, **k: nan)
+        monkeypatch.setattr(
+            protocol, "closed_form_transfer",
+            lambda *a, dim, **k: protocol.ClosedFormTransfer(
+                fidelity=nan, matrix=np.full((dim, dim), nan)))
+        monkeypatch.setattr(channels, "post_loss_pulse_state",
+                            lambda *a, **k: nan)
+        # the patches reach the pipelines' oracle columns
+        assert math.isnan(protocol.run_transfer(
+            transfer_scenario()).fidelity_closed_form)
+        assert math.isnan(protocol.run_entanglement(
+            protocol.default_entanglement_scenario()).en_closed.value)
+        after = engine_fields()
+        assert after.keys() == before.keys()
+        for key, values in before.items():
+            for want, got in zip(values, after[key], strict=True):
+                assert np.array_equal(np.asarray(got), np.asarray(want)), key
 
 
 class TestDefaults:
