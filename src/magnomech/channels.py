@@ -12,10 +12,6 @@ against each other:
 A_k lowers the photon number by exactly k, so `loss_kraus_operators`
 returns the set as a table of diagonals: table[k, n] is the amplitude A_k
 gives input level n, landing on n - k.
-
-`post_loss_pulse_state` evaluates the closed-form double sum for the pulse
-state that an anti-Stokes swap of a magnon state produces after fiber loss,
-serving as an independent oracle for the engine route.
 """
 
 from __future__ import annotations
@@ -114,43 +110,3 @@ def apply_loss(rho: fock.FockDensityMatrix, mode: int, transmittance: float,
         out += m.reshape(out.shape)
     return fock.FockDensityMatrix(dims, out)
 
-
-def post_loss_pulse_state(coefficients: np.ndarray, swap_efficiency: float,
-                          transmittance: float, dim: int) -> fock.FockDensityMatrix:
-    """Closed-form pulse state after swap (efficiency S) and loss (T).
-
-    ``coefficients`` is the magnon density matrix c[n, s] in the number
-    basis.  The returned single-mode matrix has elements
-
-        sum_m c[n, s] (-i)^n (i)^s S^((n+s)/2)
-              sqrt(C(n, m) C(s, m)) R^m T^((n+s)/2 - m)   on |n-m><s-m|
-
-    i.e. the vacuum-conditioned branch of the swap, propagated through the
-    loss channel, with the beamsplitter phases kept.  No unitary is applied;
-    this is the oracle counterpart of the engine route.
-    """
-    c = np.asarray(coefficients, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("coefficient table must be a square matrix")
-    n_max = c.shape[0]
-    if n_max > dim:
-        raise ValueError(
-            f"truncation {dim} too small for coefficient table of size {n_max}")
-    s_eff = float(swap_efficiency)
-    t = float(transmittance)
-    if not 0.0 <= s_eff <= 1.0:
-        raise ValueError(f"swap efficiency {s_eff!r} outside [0, 1]")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmittance {t!r} outside [0, 1]")
-    r = 1.0 - t
-    out = np.zeros((dim, dim), dtype=complex)
-    for n in range(n_max):
-        for s in range(n_max):
-            if c[n, s] == 0.0:
-                continue
-            base = c[n, s] * (-1j) ** n * (1j) ** s * s_eff ** ((n + s) / 2.0)
-            for m in range(min(n, s) + 1):
-                amp = math.sqrt(math.comb(n, m) * math.comb(s, m))
-                amp *= r**m * t ** ((n + s) / 2.0 - m)
-                out[n - m, s - m] += base * amp
-    return fock.FockDensityMatrix(fock.ModeDims((dim,)), out)

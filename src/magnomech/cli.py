@@ -79,6 +79,7 @@ _PART_KEYS = {
         "mech_freq": "mech_freq_over_2pi_hz",
         "cavity_linewidth": "cavity_linewidth_over_2pi_hz",
         "mech_damping": "mech_damping_over_2pi_hz",
+        "drive_detuning": "mech_detuning_over_2pi_hz",
     },
     "magnon_pulse": {
         "coupling": "magnon_pulse_coupling_over_2pi_hz",
@@ -105,7 +106,6 @@ _OPTION_KEYS = ("truncation", "include_loss_in_entanglement",
 CONFIG_KEYS = {
     **{key: _angular if key.endswith("_over_2pi_hz") else float
        for keys in _PART_KEYS.values() for key in keys.values()},
-    "mech_detuning_over_2pi_hz": _angular,
     "truncation": int,
     "initial_states": str,
     "include_loss_in_entanglement": _boolean,
@@ -193,12 +193,15 @@ def build_scenario(cfg: dict, *, entangling: bool = False,
                    truncation: int | None = None) -> protocol.ScenarioConfig:
     """Scenario from config values over the reference operating point."""
     base = _default_scenario(entangling)
-    fields = {part: _overlay(getattr(base, part), cfg, keys)
-              for part, keys in _PART_KEYS.items()}
     # an unset detuning keeps the drive on the configured red sideband
-    mechanical = fields["mechanical"]
-    fields["mechanical"] = dataclasses.replace(mechanical, drive_detuning=cfg.get(
-        "mech_detuning_over_2pi_hz", mechanical.mech_freq))
+    cfg = {"mech_detuning_over_2pi_hz": cfg.get(
+        "mech_freq_over_2pi_hz", base.mechanical.mech_freq), **cfg}
+    fields = {}
+    for part, keys in _PART_KEYS.items():
+        try:
+            fields[part] = _overlay(getattr(base, part), cfg, keys)
+        except ValueError as exc:   # ScenarioError included
+            raise ConfigError(f"{part}: {exc}") from exc
     if "initial_states" in cfg:
         tokens = [tok for tok in cfg["initial_states"].split(",") if tok.strip()]
         if not tokens:

@@ -298,8 +298,8 @@ def two_mode_unitary(da: int, db: int, kind: str, angle: float) -> np.ndarray:
 
 
 def _apply_pair_matrix(mat: np.ndarray, dims: ModeDims, i: int, j: int,
-                       u: np.ndarray, *, conjugate: bool) -> np.ndarray:
-    """Left-multiply u on ket axes (i, j); optionally u* on the bra axes."""
+                       u: np.ndarray) -> np.ndarray:
+    """Left-multiply u on ket axes (i, j) and u* on the bra axes: u mat u^H."""
     nm = dims.n_modes
     pair = dims.dims[i] * dims.dims[j]
     t = mat.reshape(dims.dims + dims.dims)
@@ -307,11 +307,10 @@ def _apply_pair_matrix(mat: np.ndarray, dims: ModeDims, i: int, j: int,
     shp = t.shape
     t = (u @ t.reshape(pair, -1)).reshape(shp)
     t = np.moveaxis(t, (0, 1), (i, j))
-    if conjugate:
-        t = np.moveaxis(t, (nm + i, nm + j), (0, 1))
-        shp = t.shape
-        t = (u.conj() @ t.reshape(pair, -1)).reshape(shp)
-        t = np.moveaxis(t, (0, 1), (nm + i, nm + j))
+    t = np.moveaxis(t, (nm + i, nm + j), (0, 1))
+    shp = t.shape
+    t = (u.conj() @ t.reshape(pair, -1)).reshape(shp)
+    t = np.moveaxis(t, (0, 1), (nm + i, nm + j))
     return np.ascontiguousarray(t.reshape(mat.shape))
 
 
@@ -377,7 +376,7 @@ def apply_two_mode_exponential(state, mode_a: int, mode_b: int, kind: str,
         t = np.moveaxis(y.reshape(shp), (0, 1), (mode_a, mode_b))
         return FockKet(dims, t.reshape(-1))
     u = two_mode_unitary(dims.dims[mode_a], dims.dims[mode_b], kind, angle)
-    m = _apply_pair_matrix(state.matrix, dims, mode_a, mode_b, u, conjugate=True)
+    m = _apply_pair_matrix(state.matrix, dims, mode_a, mode_b, u)
     return FockDensityMatrix(dims, m)
 
 

@@ -69,15 +69,13 @@ def _trace_norm(h: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(h)).sum())
 
 
-def log_negativity_fock(rho: fock.FockDensityMatrix,
-                        transpose_modes=(1,)) -> LogNegativity:
-    """E_N from the trace norm of the partial transpose, clamped at 0.
+def log_negativity_fock(rho: fock.FockDensityMatrix) -> LogNegativity:
+    """E_N from the trace norm of the partial transpose on mode 1, clamped at 0.
 
     The spectrum comes from one dense eigvalsh of the whole partial
     transpose, whatever the state's structure.
     """
-    trace_norm = _trace_norm(_real_if_close(
-        fock.partial_transpose(rho, transpose_modes)))
+    trace_norm = _trace_norm(_real_if_close(fock.partial_transpose(rho, 1)))
     return LogNegativity(value=max(0.0, float(np.log(trace_norm))),
                          method="fock_ppt")
 
@@ -185,20 +183,19 @@ def _uncertainty_violation(cm: np.ndarray, physical_tol: float = PHYSICAL_TOL
     return w if w < -bound else None
 
 
-def log_negativity_gaussian(cm: np.ndarray, transpose_modes=(1,)) -> LogNegativity:
-    """E_N = max(0, -ln nu_min) after transposing the listed modes.
+def log_negativity_gaussian(cm: np.ndarray) -> LogNegativity:
+    """E_N = max(0, -ln nu_min) after transposing mode 1.
 
-    ``cm`` is a covariance matrix in (x, p) interleaved order with vacuum
-    normalized to the identity.  Transposition flips the p quadrature of
-    each listed mode.  Raises ValueError when the input covariance matrix
-    fails the uncertainty test of :func:`_uncertainty_violation`.
+    ``cm`` is a covariance matrix of two or more modes in (x, p) interleaved
+    order, vacuum normalized to the identity; transposition flips the p
+    quadrature of mode 1.  Raises ValueError when the input covariance
+    matrix fails the uncertainty test of :func:`_uncertainty_violation`.
     """
     cm = np.asarray(cm, dtype=float)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
         raise ValueError("covariance matrix must be square of even size")
-    n = cm.shape[0] // 2
-    if isinstance(transpose_modes, (int, np.integer)):
-        transpose_modes = (int(transpose_modes),)
+    if cm.shape[0] < 4:
+        raise ValueError(f"need at least two modes, got {cm.shape[0] // 2}")
     asym = float(np.max(np.abs(cm - cm.T)))
     if asym > 1e-10:
         raise ValueError(f"covariance matrix asymmetric by {asym:.3e}")
@@ -206,11 +203,8 @@ def log_negativity_gaussian(cm: np.ndarray, transpose_modes=(1,)) -> LogNegativi
     if w is not None:
         raise ValueError(f"unphysical covariance matrix: min eig of V + i*Omega "
                          f"is {w:.3e}")
-    flip = np.ones(2 * n)
-    for k in transpose_modes:
-        if not 0 <= k < n:
-            raise ValueError(f"mode {k} out of range")
-        flip[2 * k + 1] = -1.0
+    flip = np.ones(cm.shape[0])
+    flip[3] = -1.0   # p of mode 1
     cm_pt = cm * np.outer(flip, flip)
     nu_min = float(symplectic_eigenvalues(cm_pt).min())
     return LogNegativity(value=max(0.0, -float(np.log(nu_min))),

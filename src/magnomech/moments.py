@@ -139,14 +139,13 @@ def _check_rates(**rates):
 
 def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
                 matter_linewidth: float = 0.0, mech_freq: float | None = None,
-                detuning: float | None = None,
-                thermal_occupation: float = 0.0) -> DriftDiffusion:
+                detuning: float | None = None) -> DriftDiffusion:
     """Drift/diffusion pair for one QLE family.
 
     Mode order is (cavity, matter) with matter the magnon or the mechanical
     mode; quadrature order (x_c, p_c, x_m, p_m).  ``matter_linewidth`` is
-    the magnon linewidth or the mechanical damping; its bath occupation is
-    ``thermal_occupation``.  ``optomech_full`` additionally needs
+    the magnon linewidth or the mechanical damping, into a zero-temperature
+    bath like the cavity's.  ``optomech_full`` additionally needs
     ``mech_freq`` and ``detuning``: it is the linearized Hamiltonian
     detuning c^dag c + mech_freq b^dag b - G (c + c^dag)(b + b^dag) in the
     lab frame, where its drift is constant, and it keeps the
@@ -157,15 +156,11 @@ def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
     kappa = float(cavity_linewidth)
     gm = float(matter_linewidth)
     g = float(coupling)
-    nbar = float(thermal_occupation)
     _check_rates(cavity_linewidth=kappa, matter_linewidth=gm, coupling=g)
     if kappa == 0.0:
         raise ValueError("cavity_linewidth must be > 0")
-    if nbar < 0.0:
-        raise ValueError("thermal_occupation must be >= 0")
 
-    diffusion = np.diag([kappa, kappa,
-                         gm * (2.0 * nbar + 1.0), gm * (2.0 * nbar + 1.0)])
+    diffusion = np.diag([kappa, kappa, gm, gm])
     damping = np.diag([-kappa / 2.0, -gm / 2.0])
     pair = np.array([[0.0, 1.0], [1.0, 0.0]])
     if kind == "magnonic_antistokes":

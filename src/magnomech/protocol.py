@@ -30,7 +30,7 @@ In the lossless case the branch is exactly a two-mode squeezed vacuum
 with tanh r' = sqrt(W) tanh r, hence E_N = 2 r'.
 
 Closed-form oracles evaluate the same quantities by scalar double sums
-with no Fock-space machinery, giving an independent check of the engine.
+with no Fock-space machinery; ``closed_form_transfer`` checks every stage.
 """
 
 from __future__ import annotations
@@ -460,7 +460,7 @@ class ClosedFormTransfer:
 
 def closed_form_transfer(state: InitialState, swap_in: float,
                          transmittance: float, swap_out: float,
-                         dim: int | None = None) -> ClosedFormTransfer:
+                         dim: int) -> ClosedFormTransfer:
     """Evaluate the transfer pipeline by its closed-form double sum.
 
     With S and W the two swap efficiencies, T the fiber transmittance and
@@ -471,7 +471,8 @@ def closed_form_transfer(state: InitialState, swap_in: float,
 
     evaluated with plain scalar arithmetic (no Fock-space operators); the
     fidelity is the quadratic form of the initial coefficients when the
-    initial state is pure, None otherwise.
+    initial state is pure, None otherwise.  At W = 1, element [v, u] times
+    the swap-in phase (-i)^v i^u is the pulse state after the fiber.
     """
     for name, val in (("swap_in", swap_in), ("transmittance", transmittance),
                       ("swap_out", swap_out)):
@@ -479,7 +480,7 @@ def closed_form_transfer(state: InitialState, swap_in: float,
             raise ValueError(f"{name} {val!r} outside [0, 1]")
     c = state.coefficient_table()
     n_max = c.shape[0]
-    d = int(dim) if dim is not None else n_max
+    d = int(dim)
     if d < n_max:
         raise ValueError(f"dim {d} smaller than coefficient table {n_max}")
     s_eff, t, w_eff = float(swap_in), float(transmittance), float(swap_out)

@@ -269,7 +269,7 @@ def test_criterion_09_randomized_invariants():
             m += rng.uniform(0.1, 1.0) * np.outer(v, v.conj())
         m /= m.trace()
         base = metrics.log_negativity_fock(
-            fock.FockDensityMatrix(pair, m), (1,)).value
+            fock.FockDensityMatrix(pair, m)).value
 
         def haar(n):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -278,7 +278,7 @@ def test_criterion_09_randomized_invariants():
 
         u = np.kron(haar(d), haar(d))
         rotated = fock.FockDensityMatrix(pair, u @ m @ u.conj().T)
-        assert metrics.log_negativity_fock(rotated, (1,)).value == \
+        assert metrics.log_negativity_fock(rotated).value == \
             pytest.approx(base, abs=1e-10)
     print("criterion 9: log negativity invariant under local unitaries "
           "at 1e-10")

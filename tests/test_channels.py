@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from magnomech import channels, fock, propagators
+from magnomech import channels, fock, propagators, protocol
+from magnomech.protocol import InitialState
 
 
 def rand_two_mode(rng, d):
@@ -125,43 +126,35 @@ class TestApplyLoss:
 
 
 class TestPostLossOracle:
-    """Closed-form double sum vs the full engine route (swap then loss)."""
+    """The pulse stage of the dense reference chain against the closed form.
+
+    Swap in (efficiency S), condition the magnon on vacuum, lose photons
+    in the fiber (T): the pulse state is ``closed_form_transfer`` at W = 1
+    with element [v, u] multiplied by the swap-in phase (-i)^v i^u.
+    """
 
     @pytest.mark.parametrize("coeffs", [
-        np.array([0.0, 1.0]),                 # single excitation
-        np.array([1.0, 1.0]) / math.sqrt(2),  # balanced superposition
+        np.array([0.0, 1.0]),                  # single excitation
+        np.array([1.0, 1.0]) / math.sqrt(2),   # balanced superposition
         np.array([0.5, 0.5, math.sqrt(0.5)]),  # three-level pure state
+        np.diag([0.2, 0.5, 0.3]),              # mixed table
     ])
-    @pytest.mark.parametrize("t", [1.0, 0.954992586021, 0.630957344480])
-    def test_matches_engine_pipeline(self, coeffs, t):
+    # the reference S is identified by T alone, the full swap by its name
+    @pytest.mark.parametrize("eta, t", [
+        *(pytest.param(0.182138220055, t, id=str(t))
+          for t in (1.0, 0.954992586021, 0.630957344480, 0.0)),
+        *(pytest.param(1.0, t, id=f"full_swap-{t}")
+          for t in (1.0, 0.630957344480, 0.0)),
+    ])
+    def test_matches_engine_pipeline(self, coeffs, eta, t):
         d = 12
-        eta = 0.182138220055
-        table = np.outer(coeffs, coeffs.conj())
-        # engine: embed, swap onto the field mode, condition the source on
-        # vacuum, then lose photons in transit
-        m = np.zeros((d, d), dtype=complex)
-        m[: table.shape[0], : table.shape[1]] = table
-        rho = fock.FockDensityMatrix(fock.ModeDims((d,)), m)
-        joint = fock.tensor(rho, fock.vacuum((d,)))
+        state = (InitialState("pure", ket=coeffs) if coeffs.ndim == 1
+                 else InitialState("mixed", table=coeffs))
+        joint = fock.tensor(state.density(d), fock.vacuum((d,)))
         joint = propagators.apply_antistokes_swap(joint, 0, 1, eta)
         branch = fock.condition_on_vacuum(joint, 0)
         engine = channels.apply_loss(branch, 0, t)
-        oracle = channels.post_loss_pulse_state(table, eta, t, d)
-        assert np.max(np.abs(engine.matrix - oracle.matrix)) < 1e-12
-
-    def test_mixed_table_input(self):
-        d = 10
-        table = np.diag([0.2, 0.5, 0.3]).astype(complex)
-        m = np.zeros((d, d), dtype=complex)
-        m[:3, :3] = table
-        rho = fock.FockDensityMatrix(fock.ModeDims((d,)), m)
-        joint = fock.tensor(rho, fock.vacuum((d,)))
-        joint = propagators.apply_antistokes_swap(joint, 0, 1, 0.3)
-        branch = fock.condition_on_vacuum(joint, 0)
-        engine = channels.apply_loss(branch, 0, 0.8)
-        oracle = channels.post_loss_pulse_state(table, 0.3, 0.8, d)
-        assert np.max(np.abs(engine.matrix - oracle.matrix)) < 1e-12
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            channels.post_loss_pulse_state(np.eye(2), 1.3, 0.5, 6)
+        phase = (-1j) ** np.arange(d)
+        oracle = protocol.closed_form_transfer(state, eta, t, 1.0, dim=d).matrix
+        oracle = oracle * np.outer(phase, phase.conj())
+        assert np.max(np.abs(engine.matrix - oracle)) < 1e-12

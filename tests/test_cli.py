@@ -464,6 +464,28 @@ class TestErrorPaths:
             assert f"{key[len('fiber_'):]} must be finite" in \
                 capsys.readouterr().err
 
+    # the CLI edge values of a scenario part: each error names the part
+    # and the field, since both pulses share the field names
+    @pytest.mark.parametrize("key, part, field", [
+        ("magnon_pulse_coupling_over_2pi_hz", "magnon_pulse", "coupling"),
+        ("mech_pulse_coupling_over_2pi_hz", "mech_pulse", "coupling"),
+        ("magnon_pulse_duration_s", "magnon_pulse", "duration"),
+        ("mech_pulse_duration_s", "mech_pulse", "duration"),
+        ("magnon_linewidth_over_2pi_hz", "magnonic", "magnon_linewidth"),
+        ("mech_damping_over_2pi_hz", "mechanical", "mech_damping"),
+    ])
+    @pytest.mark.parametrize("command", ["transfer", "entangle", "validate"])
+    def test_zero_part_field_names_the_part(self, tmp_path, capsys, command,
+                                            key, part, field):
+        path = write_config(tmp_path, f"{key} = 0\n")
+        out = tmp_path / "x.csv"
+        argv = [command, path] + ([] if command == "validate"
+                                  else ["--out", str(out)])
+        assert cli.main(argv) == 2
+        assert f"error: {part}: {field} must be finite and > 0" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

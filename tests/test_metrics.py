@@ -53,20 +53,21 @@ class TestFockNegativity:
         # trace-norm truncation error scales like tanh(r)^d
         for r, tol in ((0.2, 1e-12), (0.5, 1e-8), (1.0, 1e-3)):
             rho = tmsv_table(30, r)
-            en = metrics.log_negativity_fock(rho, (1,))
+            en = metrics.log_negativity_fock(rho)
             assert en.value == pytest.approx(2 * r, abs=tol)
             assert en.method == "fock_ppt"
 
     def test_separable_state_is_zero(self):
         rho = fock.tensor(fock.vacuum((4,)),
                           fock.FockDensityMatrix((4,), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)))
-        assert metrics.log_negativity_fock(rho, (1,)).value == pytest.approx(0.0, abs=1e-12)
+        assert metrics.log_negativity_fock(rho).value == pytest.approx(0.0, abs=1e-12)
 
     def test_transpose_side_irrelevant(self):
+        # E_N transposes mode 1; transposing mode 0 gives the same trace norm
         rho = tmsv_table(20, 0.6)
-        en0 = metrics.log_negativity_fock(rho, (0,)).value
-        en1 = metrics.log_negativity_fock(rho, (1,)).value
-        assert en0 == pytest.approx(en1, abs=1e-12)
+        norm0, norm1 = (np.abs(np.linalg.eigvalsh(
+            fock.partial_transpose(rho, k))).sum() for k in (0, 1))
+        assert norm0 == pytest.approx(norm1, abs=1e-12)
 
 
 @pytest.fixture
@@ -159,7 +160,7 @@ class TestBlockRoute:
             v /= np.linalg.norm(v)
             m += rng.uniform(0.1, 1.0) * np.outer(v, v.conj())
         rho = fock.FockDensityMatrix(dims, m / m.trace())
-        en = metrics.log_negativity_fock(rho, (1,))
+        en = metrics.log_negativity_fock(rho)
         assert eigvalsh_sizes == [20]
         assert en.value == pytest.approx(max(0.0, dense_log_negativity(rho)),
                                          abs=1e-12)
@@ -214,7 +215,7 @@ class TestPureNegativity:
             assert en.method == "fock_schmidt"
             assert en.value > 0.0
             assert en.value == pytest.approx(
-                metrics.log_negativity_fock(ket.density_matrix(), (1,)).value,
+                metrics.log_negativity_fock(ket.density_matrix()).value,
                 abs=1e-12)
 
     def test_product_state_is_zero(self):
@@ -223,7 +224,7 @@ class TestPureNegativity:
         ket = fock.FockKet((3, 4), np.kron(a, b))
         assert metrics.log_negativity_pure(ket).value == pytest.approx(
             0.0, abs=1e-12)
-        assert metrics.log_negativity_fock(ket.density_matrix(), (1,)).value == \
+        assert metrics.log_negativity_fock(ket.density_matrix()).value == \
             pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("r", [0.3, 1.0])
@@ -233,7 +234,7 @@ class TestPureNegativity:
             fock.number_ket(dims, (0, 0)), 0, 1, "two_mode_squeeze", r)
         en = metrics.log_negativity_pure(pair).value
         assert en == pytest.approx(
-            metrics.log_negativity_fock(pair.density_matrix(), (1,)).value,
+            metrics.log_negativity_fock(pair.density_matrix()).value,
             abs=1e-12)
 
     def test_needs_two_modes(self):
@@ -292,30 +293,30 @@ class TestSymplectic:
 class TestGaussianNegativity:
     def test_tmsv_matches_2r(self):
         for r in (0.1, 0.5, 1.3):
-            en = metrics.log_negativity_gaussian(tmsv_cm(r), (1,))
+            en = metrics.log_negativity_gaussian(tmsv_cm(r))
             assert en.value == pytest.approx(2 * r, rel=1e-10)
             assert en.method == "gaussian_symplectic"
 
     def test_vacuum_is_zero(self):
-        assert metrics.log_negativity_gaussian(np.eye(4), (1,)).value == \
+        assert metrics.log_negativity_gaussian(np.eye(4)).value == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_agrees_with_fock_route(self):
         # dual-route check on the same physical state
         r = 0.45
-        en_g = metrics.log_negativity_gaussian(tmsv_cm(r), (1,)).value
-        en_f = metrics.log_negativity_fock(tmsv_table(30, r), (1,)).value
+        en_g = metrics.log_negativity_gaussian(tmsv_cm(r)).value
+        en_f = metrics.log_negativity_fock(tmsv_table(30, r)).value
         assert en_f == pytest.approx(en_g, abs=1e-6)
 
     def test_rejects_asymmetric(self):
         cm = np.eye(4)
         cm[0, 1] = 1e-6
         with pytest.raises(ValueError, match="asymmetric"):
-            metrics.log_negativity_gaussian(cm, (1,))
+            metrics.log_negativity_gaussian(cm)
 
     def test_rejects_unphysical(self):
         with pytest.raises(ValueError, match="unphysical"):
-            metrics.log_negativity_gaussian(0.5 * np.eye(4), (1,))
+            metrics.log_negativity_gaussian(0.5 * np.eye(4))
 
     @pytest.mark.parametrize("r", [6.0, 8.0, 10.0])
     def test_one_uncertainty_test_for_every_route(self, r):
@@ -323,13 +324,26 @@ class TestGaussianNegativity:
         # states; at r = 8 roundoff puts min eig of V + i*Omega at -2e-9,
         # against max |V| = 4.4e6, and both routes must read it as physical
         cm = tmsv_cm(r)
-        metrics.log_negativity_gaussian(cm, (1,))
+        metrics.log_negativity_gaussian(cm)
         moments.CovarianceState(np.zeros(4), cm)
-        for reject in (lambda v: metrics.log_negativity_gaussian(v, (1,)),
+        for reject in (lambda v: metrics.log_negativity_gaussian(v),
                        lambda v: moments.CovarianceState(np.zeros(4), v)):
             with pytest.raises(ValueError, match="unphysical"):
                 reject(0.5 * np.eye(4))
 
-    def test_mode_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            metrics.log_negativity_gaussian(np.eye(4), (2,))
+    def test_needs_two_modes(self):
+        with pytest.raises(ValueError, match="at least two modes"):
+            metrics.log_negativity_gaussian(np.eye(2))
+
+    # the exact squeezed vacuum's E_N is 2r; measured errors 1.7e-11 at
+    # r = 3 and 1.1e-6 at r = 6, bands set above those
+    @pytest.mark.parametrize("r, tol", [
+        (3.0, 1e-9),
+        (6.0, 2e-6),
+        pytest.param(8.0, 2e-6, marks=pytest.mark.xfail(strict=True, reason=(
+            "symplectic_eigenvalues takes eigvals of the non-normal i*Omega*V, "
+            "whose condition grows like e^(2r): off by 7.3e-3 at r = 8"))),
+    ])
+    def test_strong_squeezing_reads_2r(self, r, tol):
+        assert abs(metrics.log_negativity_gaussian(tmsv_cm(r)).value
+                   - 2.0 * r) <= tol

@@ -99,10 +99,10 @@ class TestEntanglementInvariance:
                 m += rng.uniform(0.1, 1.0) * np.outer(v, v.conj())
             m /= m.trace()
             rho = fock.FockDensityMatrix(dims, m)
-            base = metrics.log_negativity_fock(rho, (1,)).value
+            base = metrics.log_negativity_fock(rho).value
             u = np.kron(random_unitary(rng, d), random_unitary(rng, d))
             rotated = fock.FockDensityMatrix(dims, u @ m @ u.conj().T)
-            assert metrics.log_negativity_fock(rotated, (1,)).value == \
+            assert metrics.log_negativity_fock(rotated).value == \
                 pytest.approx(base, abs=1e-10)
 
     def test_log_negativity_vanishes_on_products(self):
@@ -110,7 +110,7 @@ class TestEntanglementInvariance:
         dims = fock.ModeDims((5, 5))
         for _ in range(10):
             rho = random_product_density(rng, dims)
-            assert metrics.log_negativity_fock(rho, (1,)).value == \
+            assert metrics.log_negativity_fock(rho).value == \
                 pytest.approx(0.0, abs=1e-10)
 
 

@@ -301,7 +301,7 @@ class TestRunTransfer:
 class TestClosedFormTransfer:
     def test_lossless_full_swaps_are_identity(self):
         state = InitialState("probe", ket=[0.6, 0.8j])
-        out = protocol.closed_form_transfer(state, 1.0, 1.0, 1.0)
+        out = protocol.closed_form_transfer(state, 1.0, 1.0, 1.0, dim=2)
         np.testing.assert_allclose(out.matrix, state.coefficient_table(),
                                    atol=1e-15)
         assert out.fidelity == pytest.approx(1.0)
@@ -309,7 +309,7 @@ class TestClosedFormTransfer:
     def test_parameter_range_check(self):
         state = InitialState.fock(1)
         with pytest.raises(ValueError, match="transmittance"):
-            protocol.closed_form_transfer(state, 0.5, 1.5, 0.5)
+            protocol.closed_form_transfer(state, 0.5, 1.5, 0.5, dim=2)
 
     def test_dim_must_hold_the_table(self):
         with pytest.raises(ValueError, match="smaller"):
@@ -605,8 +605,6 @@ class TestRouteIndependence:
             protocol, "closed_form_transfer",
             lambda *a, dim, **k: protocol.ClosedFormTransfer(
                 fidelity=nan, matrix=np.full((dim, dim), nan)))
-        monkeypatch.setattr(channels, "post_loss_pulse_state",
-                            lambda *a, **k: nan)
         # the patches reach the pipelines' oracle columns
         assert math.isnan(protocol.run_transfer(
             transfer_scenario()).fidelity_closed_form)
