@@ -16,7 +16,8 @@ significant digits and LF line endings.  Identical config and version give
 byte-identical output; there is deliberately no seed flag, nothing here is
 stochastic.
 
-Exit codes: 0 success, 2 config or validation error, 3 numerical truncation
+Exit codes: 0 success, 2 config or validation error (a ``qle`` run whose
+moments blow up or turn unphysical included), 3 numerical truncation
 budget exceeded.
 """
 
@@ -28,7 +29,7 @@ import hashlib
 import math
 import sys
 
-from . import __version__, fock, moments, protocol
+from . import __version__, moments, protocol
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,9 +326,16 @@ def cmd_qle(args) -> int:
     ratios = cfg.get("qle_coupling_ratios", DEFAULT_QLE_RATIOS)
     pulse = _overlay(_default_scenario(process == "stokes").magnon_pulse,
                      cfg, _PART_KEYS["magnon_pulse"])
-    rows = moments.validate_adiabatic(
-        pulse.cavity_linewidth, pulse.pulse_area, ratios, process=process,
-        matter_linewidth=cfg.get("magnon_linewidth_over_2pi_hz", 0.0))
+    linewidth = cfg.get("magnon_linewidth_over_2pi_hz", 0.0)
+    if not 0.0 <= linewidth < math.inf:   # NaN fails too
+        raise ConfigError("magnon_linewidth_over_2pi_hz must be finite and "
+                          f">= 0, got {_fmt(linewidth / TWO_PI)}")
+    try:
+        rows = moments.validate_adiabatic(
+            pulse.cavity_linewidth, pulse.pulse_area, ratios, process=process,
+            matter_linewidth=linewidth)
+    except RuntimeError as exc:
+        raise ConfigError(f"qle process {process}: {exc}") from exc
     lines = _manifest("qle", args.config, digest, args.out)
     lines.append(f"# note: process {process}, pulse area {_fmt(pulse.pulse_area)}")
     lines.append("G_over_kappa,eta_integrated,eta_closed,rel_err")
@@ -382,7 +390,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except fock.TruncationLeakError as exc:
+    except protocol.TruncationLeakError as exc:
         print(f"error: truncation budget exceeded: leak {exc.leak:.3e} over "
               f"budget {exc.budget:.3e}; raise --truncation", file=sys.stderr)
         return 3

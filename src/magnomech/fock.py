@@ -12,7 +12,9 @@ The beamsplitter conserves n_a + n_b and the squeeze conserves n_a - n_b,
 so each generator splits into sectors of at most min(d_a, d_b) states on
 which it is tridiagonal.  The per-sector eigensystems are cached per
 (dim, dim, kind), so sweeps over the angle cost a few small matmuls per
-sector and never form a d_a d_b x d_a d_b matrix on a ket.
+sector and never form a d_a d_b x d_a d_b matrix on a ket.  An undersized
+basis shows as weight on the top shell, not as lost trace; each pipeline
+measures it on its own state (see :mod:`magnomech.protocol`).
 """
 
 from __future__ import annotations
@@ -27,29 +29,6 @@ HERMITICITY_TOL = 1e-10
 KET_NORM_TOL = 1e-12
 
 GENERATOR_KINDS = ("beamsplitter", "two_mode_squeeze")
-
-
-class TruncationLeakError(RuntimeError):
-    """Weight on the top Fock shell of a squeezed pair exceeds its budget.
-
-    The truncated exponential is still exactly unitary, so the failure mode
-    of an undersized basis is not trace loss but population piling up at the
-    edge of the basis.  ``leak`` is the measured :func:`truncation_leak`,
-    ``budget`` the bound it broke.  The squeezing pipelines of
-    :mod:`magnomech.protocol` raise it against ``SQUEEZE_LEAK_BUDGET``; the
-    pair exponential itself checks no budget.
-    """
-
-    def __init__(self, leak: float, budget: float, context: str = ""):
-        self.leak = float(leak)
-        self.budget = float(budget)
-        msg = (
-            f"truncation leak {self.leak:.3e} exceeds budget "
-            f"{self.budget:.3e}; enlarge the per-mode truncation"
-        )
-        if context:
-            msg = f"{context}: {msg}"
-        super().__init__(msg)
 
 
 @dataclass(frozen=True)
@@ -154,7 +133,7 @@ class FockDensityMatrix:
         herm = _hermiticity_error(m)
         if not herm <= HERMITICITY_TOL:
             raise ValueError(f"matrix deviates from Hermitian by {herm:.3e}")
-        tr = m.trace()
+        tr = complex(m.trace())   # plain floats in the messages
         if not abs(tr.imag) <= HERMITICITY_TOL:
             raise ValueError(f"trace has imaginary part {tr.imag:.3e}")
         if not 0.0 < tr.real <= 1.0 + 1e-9:
@@ -314,27 +293,6 @@ def _apply_pair_matrix(mat: np.ndarray, dims: ModeDims, i: int, j: int,
     return np.ascontiguousarray(t.reshape(mat.shape))
 
 
-def truncation_leak(state, modes) -> float:
-    """Fraction of the trace on the top Fock shell of any listed mode.
-
-    Defined as 1 - (interior weight)/(total weight), interior meaning
-    occupation <= dim - 2 in every listed mode, plus any trace deficit
-    relative to 1.  Zero for states comfortably inside the basis.
-    """
-    if isinstance(modes, (int, np.integer)):
-        modes = (int(modes),)
-    dims = state.dims
-    p = state.populations().reshape(dims.dims)
-    total = float(p.sum())
-    if total <= 0.0:
-        return 1.0
-    sl = [slice(None)] * dims.n_modes
-    for k in modes:
-        sl[k] = slice(0, dims.dims[k] - 1)
-    interior = float(p[tuple(sl)].sum())
-    return max(0.0, 1.0 - interior / total) + max(0.0, 1.0 - total)
-
-
 def apply_two_mode_exponential(state, mode_a: int, mode_b: int, kind: str,
                                angle: float):
     """Apply exp(-i*angle*K) coupling two modes of a ket or density matrix.
@@ -343,8 +301,7 @@ def apply_two_mode_exponential(state, mode_a: int, mode_b: int, kind: str,
     transferred amplitudes pick up -i per excitation).  kind="two_mode_squeeze"
     uses K = a^dag b^dag + a b.  The truncated exponential is exactly
     unitary, so an undersized basis shows as weight on the top shell, not
-    as lost trace; judging that weight (:func:`truncation_leak`) is left to
-    the caller.
+    as lost trace; measuring and judging that weight is left to the caller.
 
     Returns the same type as the input.
     """

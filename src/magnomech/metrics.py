@@ -162,12 +162,11 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     return np.sort(ev)[::2]  # each nu appears twice
 
 
-def _uncertainty_violation(cm: np.ndarray, physical_tol: float = PHYSICAL_TOL
-                           ) -> float | None:
+def _uncertainty_violation(cm: np.ndarray) -> float | None:
     """Min eig of V + i*Omega when the uncertainty relation fails, else None.
 
     The one uncertainty test of every Gaussian route: the relation fails
-    below -(physical_tol + _ROUNDOFF_TOL * max|V|).  eigvalsh is backward
+    below -(PHYSICAL_TOL + _ROUNDOFF_TOL * max|V|).  eigvalsh is backward
     stable, so near the boundary of physical states the computed
     eigenvalue is off by a small multiple of eps max|V| (eps = 2.2e-16),
     plus the rounding V carries from the steps that made it: 1.8 eps
@@ -175,11 +174,11 @@ def _uncertainty_violation(cm: np.ndarray, physical_tol: float = PHYSICAL_TOL
     of the moment propagator, on entries up to 4e11; 2.0e-9 at
     max|V| = 4.4e6 on the exact squeezed vacuum at r = 8.
     _ROUNDOFF_TOL = 1e-12, about 4,500 eps, leaves a wide margin; at
-    max|V| of order 1 it adds a thousandth of ``physical_tol``.
+    max|V| of order 1 it adds a thousandth of ``PHYSICAL_TOL``.
     """
     omega = symplectic_form(cm.shape[0] // 2)
     w = float(np.linalg.eigvalsh(cm + 1j * omega)[0])
-    bound = physical_tol + _ROUNDOFF_TOL * float(np.max(np.abs(cm)))
+    bound = PHYSICAL_TOL + _ROUNDOFF_TOL * float(np.max(np.abs(cm)))
     return w if w < -bound else None
 
 

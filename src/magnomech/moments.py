@@ -64,8 +64,7 @@ class CovarianceState:
 
     __slots__ = ("mean", "cm")
 
-    def __init__(self, mean, cm, *, check: bool = True,
-                 physical_tol: float = metrics.PHYSICAL_TOL):
+    def __init__(self, mean, cm, *, check: bool = True):
         mean = np.asarray(mean, dtype=float).reshape(-1).copy()
         cm = np.asarray(cm, dtype=float).copy()
         if cm.shape != (mean.size, mean.size) or mean.size % 2:
@@ -75,7 +74,7 @@ class CovarianceState:
             raise ValueError(f"covariance asymmetric by {asym:.3e}")
         cm = 0.5 * (cm + cm.T)
         if check:
-            w = metrics._uncertainty_violation(cm, physical_tol)
+            w = metrics._uncertainty_violation(cm)
             if w is not None:
                 raise ValueError(
                     f"unphysical covariance: min eig of V + i*Omega is {w:.3e}")
@@ -234,7 +233,7 @@ def integrate(state: CovarianceState, dd: DriftDiffusion, duration: float,
         cm = cm + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         cm = 0.5 * (cm + cm.T)
         due = (step + 1) % _CHECK_EVERY == 0 or step + 1 == n_steps
-        _check_moments(cm, f"at step {step + 1}/{n_steps}",
+        _check_moments(cm, f"at RK4 step {step + 1}/{n_steps} of {h:.3g} s",
                        uncertainty=check_uncertainty and due)
     return CovarianceState(mean, cm, check=False)
 
@@ -268,7 +267,7 @@ def propagate_static(state: CovarianceState, dd: DriftDiffusion,
     cm = (flow[:-1, :-1] @ state.cm.reshape(-1) + flow[:-1, -1]).reshape(n, n)
     cm = 0.5 * (cm + cm.T)
     mean = _expm(a * duration) @ state.mean
-    _check_moments(cm, f"after {duration:.6g}")
+    _check_moments(cm, f"after exact propagation over {duration:.6g} s")
     return CovarianceState(mean, cm, check=False)
 
 
@@ -297,8 +296,8 @@ def _check_moments(cm: np.ndarray, where: str, *,
                    uncertainty: bool = True) -> None:
     """Raise on a non-finite or blown-up covariance, or an unphysical one."""
     if not np.all(np.isfinite(cm)) or float(np.max(np.abs(cm))) > _NORM_BOUND:
-        raise RuntimeError(f"covariance blew up {where} "
-                           f"(unstable dynamics, or an RK4 step too large)")
+        raise RuntimeError(f"covariance blew up {where} (an entry not finite "
+                           f"or beyond {_NORM_BOUND:.0e})")
     if uncertainty:
         w = metrics._uncertainty_violation(cm)
         if w is not None:
@@ -477,4 +476,4 @@ def stokes_temporal_mode_covariance(cavity_linewidth: float, coupling: float,
     final = integrate(init, dd, float(duration), dt, check_uncertainty=False)
     out = final.block([1, 2])
     # the capture variable is canonical now; validate the pair state
-    return CovarianceState(out.mean, out.cm, check=True, physical_tol=1e-6)
+    return CovarianceState(out.mean, out.cm)

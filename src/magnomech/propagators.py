@@ -87,8 +87,9 @@ def apply_stokes_squeeze(state, magnon_mode: int, field_mode: int,
                          squeezing: float):
     """Two-mode squeeze of magnon and field mode by parameter r >= 0.
 
-    Checks no truncation budget: the caller measures the squeezed pair's
-    :func:`magnomech.fock.truncation_leak` and judges it.
+    Checks no truncation budget: the caller reads the squeezed pair's
+    leak from its own representation and judges it, as
+    :func:`magnomech.protocol._squeezed_vacuum` does for the vacuum pair.
     """
     r = float(squeezing)
     if r < 0.0 or not np.isfinite(r):

@@ -66,6 +66,18 @@ class ScenarioError(ValueError):
     """Structurally invalid scenario (bad rates, impossible dimensions)."""
 
 
+class TruncationLeakError(RuntimeError):
+    """The squeezed pair's top-shell weight ``leak``, as
+    :func:`_squeezed_vacuum` measured it, exceeds ``budget``."""
+
+    def __init__(self, leak: float, budget: float):
+        self.leak = float(leak)
+        self.budget = float(budget)
+        super().__init__(
+            f"two-mode squeeze: truncation leak {self.leak:.3e} exceeds "
+            f"budget {self.budget:.3e}; enlarge the per-mode truncation")
+
+
 def _require_positive(obj, names):
     for name in names:
         v = float(getattr(obj, name))
@@ -416,8 +428,9 @@ def run_transfer(scenario: ScenarioConfig,
     pulse_traced = _apply_diagonals(
         _apply_diagonals(rho_m, swap_in, down), fiber, down)
     dims = fock.ModeDims((d,))
-    phonon_branch = fock.FockDensityMatrix(
-        dims, _apply_diagonals(pulse_branch, swap_out[0], levels))
+    branch = _apply_diagonals(pulse_branch, swap_out[0], levels)
+    prob = _branch_probability(float(branch.trace().real), state.label)
+    phonon_branch = fock.FockDensityMatrix(dims, branch)
     phonon_traced = fock.FockDensityMatrix(
         dims, _apply_diagonals(pulse_traced, swap_out.reshape(-1, d),
                                [k - m for m in range(d) for k in levels]))
@@ -442,7 +455,7 @@ def run_transfer(scenario: ScenarioConfig,
         truncation=d,
         phonon_state=compensated,
         phonon_state_traced=phonon_traced,
-        branch_probability=float(phonon_branch.trace()),
+        branch_probability=prob,
         fidelity_engine=f_engine,
         fidelity_engine_uncompensated=f_raw,
         fidelity_closed_form=f_closed,
@@ -558,19 +571,26 @@ class _Entangled(NamedTuple):
 
 
 def _squeezed_vacuum(d: int, squeezing: float) -> tuple[np.ndarray, float]:
-    """Two-mode squeezed (magnon, pulse) vacuum as a d x d amplitude matrix.
+    """Two-mode squeezed (magnon, pulse) vacuum as its d amplitudes on |i, i>.
 
-    Returns the amplitudes psi[magnon, pulse] and the truncation leak of
-    the pair; raises TruncationLeakError when the leak exceeds
-    ``SQUEEZE_LEAK_BUDGET``.
+    The squeeze conserves n_magnon - n_pulse, which is checked here once.
+    Returns the amplitudes c and the truncation leak |c[d-1]|^2 / sum
+    |c|^2: the truncated squeeze is exactly unitary, so an undersized
+    basis piles weight onto the top shell of either mode, which on the
+    diagonal is the one state |d-1, d-1>.  Raises TruncationLeakError
+    when the leak exceeds ``SQUEEZE_LEAK_BUDGET``.
     """
     pair = propagators.apply_stokes_squeeze(
         fock.number_ket(fock.ModeDims((d, d)), (0, 0)), 0, 1, squeezing)
-    leak = fock.truncation_leak(pair, (0, 1))
+    psi = pair.amplitudes.reshape(d, d)
+    c = np.diagonal(psi).copy()
+    if np.any(psi - np.diag(c)):
+        raise ValueError("squeezed pair is not diagonal in n_magnon - n_pulse")
+    weights = np.abs(c) ** 2
+    leak = float(weights[-1] / weights.sum())
     if leak > SQUEEZE_LEAK_BUDGET:
-        raise fock.TruncationLeakError(leak, SQUEEZE_LEAK_BUDGET,
-                                       context="two-mode squeeze")
-    return pair.amplitudes.reshape(d, d), leak
+        raise TruncationLeakError(leak, SQUEEZE_LEAK_BUDGET)
+    return c, leak
 
 
 def _sector_stack(c: np.ndarray, loss: np.ndarray,
@@ -601,33 +621,31 @@ def _sector_stack(c: np.ndarray, loss: np.ndarray,
     return stack
 
 
-def _branch_probability(prob: float) -> float:
-    if prob <= 0.0:
-        raise RuntimeError("vacuum branch has zero probability")
+def _branch_probability(prob: float, label: str) -> float:
+    """``prob`` once it is positive; the vacuum branch of ``label`` is empty
+    otherwise (a swap too weak to move any excitation, say)."""
+    if not prob > 0.0:
+        raise ValueError(f"vacuum branch of {label} has zero probability")
     return prob
 
 
-def _entangle(psi: np.ndarray, efficiency: float, transmittance: float, *,
+def _entangle(c: np.ndarray, efficiency: float, transmittance: float, *,
               traced: bool) -> _Entangled:
     """Fiber loss -> conversion swap on a squeezed pair, measured by E_N.
 
-    Each Kraus operator of the fiber loss acts on the pulse of ``psi`` (at
-    T = 1 the identity is the only one), and the conversion swap is
-    contracted onto the mechanical mode, leaving m photons in the pulse.
+    Each Kraus operator of the fiber loss acts on the pulse of the pair
+    ``c`` (at T = 1 the identity is the only one), and the conversion swap
+    is contracted onto the mechanical mode, leaving m photons in the pulse.
     Both are read as their one nonzero diagonal: the loss table and the
     contraction-diagonal kernel, called once.  Each (Kraus, m) pair gives
     one [magnon, phonon] ket, a column of B; the vacuum branch (m = 0) is
-    renormalized.  A single-column branch is pure, the diagonal ket
-    c_i a_0(i) kappa_0(i) on |i, i>, and takes the Schmidt route.
-    Otherwise the state B B^H is built straight into its stack of
-    n_magnon - n_phonon sector blocks and measured by the total-number
-    blocks of its partial transpose.  With ``traced`` the unconditioned
-    state, summed over every m, is measured too (else ``en_traced`` is
-    None).
+    renormalized.  A single-column branch is pure, the diagonal ket c_i
+    a_0(i) kappa_0(i) on |i, i>, and takes the Schmidt route.  Otherwise the
+    state B B^H is built straight into its stack of n_magnon - n_phonon
+    sector blocks and measured by the total-number blocks of its partial
+    transpose.  With ``traced`` the unconditioned state, summed over every
+    m, is measured too (else ``en_traced`` is None).
     """
-    c = np.diagonal(psi)   # the squeeze conserves n_magnon - n_pulse
-    if np.any(psi - np.diag(c)):
-        raise ValueError("squeezed pair is not diagonal in n_magnon - n_pulse")
     d = c.size
     loss = channels.loss_kraus_operators(d, transmittance)
     kappa = _contraction_diagonals(d, d, efficiency, d if traced else 1)
@@ -636,12 +654,14 @@ def _entangle(psi: np.ndarray, efficiency: float, transmittance: float, *,
     if len(loss) == 1:
         # unit transmittance: the branch is one pure ket
         ket = np.diag(c * loss[0] * kappa[0]).reshape(-1)
-        prob = _branch_probability(float(np.vdot(ket, ket).real))
+        prob = _branch_probability(float(np.vdot(ket, ket).real),
+                                   "the squeezed pair")
         en_fock = metrics.log_negativity_pure(
             fock.FockKet(fock.ModeDims((d, d)), ket / math.sqrt(prob)))
     else:
         stack = _sector_stack(c, loss, kappa[:1])
-        prob = _branch_probability(float(np.einsum("Dii->", stack).real))
+        prob = _branch_probability(float(np.einsum("Dii->", stack).real),
+                                   "the squeezed pair")
         stack /= prob
         en_fock = metrics.log_negativity_sectors(stack)
     return _Entangled(prob, en_fock, en_traced)
@@ -671,8 +691,8 @@ def run_entanglement(scenario: ScenarioConfig) -> EntangleReport:
     else:
         t_fiber = 1.0
 
-    psi, leak = _squeezed_vacuum(d, r)
-    core = _entangle(psi, w_eff, t_fiber, traced=True)
+    c, leak = _squeezed_vacuum(d, r)
+    core = _entangle(c, w_eff, t_fiber, traced=True)
     combined = w_eff * t_fiber
     return EntangleReport(
         squeezing=r,
@@ -717,8 +737,8 @@ def entanglement_curves(squeezings: Sequence[float],
     points = []
     for eta in efficiencies:
         eta = float(eta)
-        for r, psi in zip(rs, pairs):
-            core = _entangle(psi, eta, 1.0, traced=False)
+        for r, c in zip(rs, pairs):
+            core = _entangle(c, eta, 1.0, traced=False)
             en_closed = metrics.closed_form_log_negativity(r, eta).value
             points.append(CurvePoint(squeezing=r, efficiency=eta,
                                      en_closed=en_closed,

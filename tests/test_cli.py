@@ -348,7 +348,8 @@ class TestEntangleCommand:
         out = tmp_path / "e.csv"
         assert cli.main(["entangle", path, "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
-        assert rows == ["0.393222919812,1,0.612860900431,0.559076732833,30,0"]
+        assert rows == ["0.393222919812,1,0.612860900431,0.559076732833,30,"
+                        "1.91661624013e-25"]
         rep, = reports
         assert rep.efficiency == 1.0
         branch, traced, prob = dense_entangle_states(
@@ -368,6 +369,28 @@ class TestEntangleCommand:
         err = capsys.readouterr().err
         assert "truncation budget exceeded" in err
         assert "raise --truncation" in err
+
+    def test_no_squeezing_edge(self, tmp_path):
+        # r = 0: no entanglement, and the leak is the squeeze's roundoff
+        path = write_config(tmp_path,
+                            "magnon_pulse_coupling_over_2pi_hz = 1e-20\n")
+        out = tmp_path / "e.csv"
+        assert cli.main(["entangle", path, "--out", str(out)]) == 0
+        r, _, en_closed, en_fock, _, leak = read_csv(out)[2][0].split(",")
+        assert float(r) == 0.0
+        assert float(en_closed) == 0.0
+        assert 0.0 <= float(en_fock) <= 1e-12
+        assert float(leak) <= 1e-30
+
+    def test_no_conversion_edge(self, tmp_path):
+        # W = 0: no excitation reaches the phonon, so nothing is entangled
+        path = write_config(tmp_path,
+                            "mech_pulse_coupling_over_2pi_hz = 1e-200\n")
+        out = tmp_path / "e.csv"
+        assert cli.main(["entangle", path, "--out", str(out)]) == 0
+        _, w, en_closed, en_fock, _, _ = read_csv(out)[2][0].split(",")
+        assert float(w) == 0.0
+        assert float(en_closed) == float(en_fock) == 0.0
 
     def test_leak_budget_is_not_a_config_key(self, tmp_path, capsys):
         # the squeeze leak budget is protocol.SQUEEZE_LEAK_BUDGET, not an option
@@ -485,6 +508,39 @@ class TestErrorPaths:
         assert f"error: {part}: {field} must be finite and > 0" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    # inputs that once crashed or gave a cryptic message: a Stokes pulse
+    # whose moments blow up, a negative magnon linewidth in qle, and a
+    # swap-in so weak (S underflows to 0) that the vacuum branch is empty
+    @pytest.mark.parametrize("command, text, message", [
+        ("qle", "qle_process = stokes\nmagnon_pulse_duration_s = 1e-5\n",
+         "qle process stokes: covariance blew up after exact propagation"),
+        ("qle", "magnon_linewidth_over_2pi_hz = -1e6\n",
+         "magnon_linewidth_over_2pi_hz must be finite and >= 0, got -1000000"),
+        ("transfer", "magnon_pulse_coupling_over_2pi_hz = 1e-200\n",
+         "vacuum branch of fock:1 has zero probability"),
+    ], ids=["stokes_blowup", "negative_linewidth", "empty_branch"])
+    def test_numerical_failure_is_one_error_line(self, tmp_path, capsys,
+                                                 command, text, message):
+        path = write_config(tmp_path, text)
+        out = tmp_path / "x.csv"
+        assert cli.main([command, path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert "Traceback" not in captured.err
+        assert "np.float64" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_qle_rejects_non_finite_linewidth(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, f"magnon_linewidth_over_2pi_hz = {value}\n")
+        assert cli.main(["qle", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: magnon_linewidth_over_2pi_hz must be finite and >= 0, "
+            f"got {value}\n")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

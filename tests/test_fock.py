@@ -300,25 +300,6 @@ class TestTwoModeUnitaries:
             fock.apply_two_mode_exponential(k, 0, 2, "beamsplitter", 0.1)
 
 
-class TestLeak:
-    def test_zero_for_interior_state(self):
-        k = fock.number_ket((5, 5), (1, 1))
-        assert fock.truncation_leak(k, (0, 1)) == 0.0
-
-    def test_counts_edge_shell_union_once(self):
-        dims = fock.ModeDims((3, 3))
-        amps = np.zeros(9)
-        amps[dims.flat_index((2, 2))] = math.sqrt(0.1)  # corner: in both shells
-        amps[dims.flat_index((0, 0))] = math.sqrt(0.9)
-        k = fock.FockKet(dims, amps)
-        assert fock.truncation_leak(k, (0, 1)) == pytest.approx(0.1, abs=1e-12)
-        assert fock.truncation_leak(k, (0,)) == pytest.approx(0.1, abs=1e-12)
-
-    def test_counts_trace_deficit(self):
-        rho = fock.FockDensityMatrix((3,), np.diag([0.5, 0.0, 0.0]).astype(complex))
-        assert fock.truncation_leak(rho, (0,)) == pytest.approx(0.5, abs=1e-12)
-
-
 class TestPhaseRotation:
     def test_phase_on_ket(self):
         dims = fock.ModeDims((4,))

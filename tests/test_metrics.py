@@ -95,7 +95,8 @@ def dense_entangle_states(d, squeezing, efficiency, transmittance):
     dense rho = B B^H, with B built column by column from the dense Kraus
     operators and the swap contractions <m, .|U|., 0>, sliced out of the
     dense beamsplitter; also the branch probability."""
-    psi, _ = protocol._squeezed_vacuum(d, squeezing)
+    c, _ = protocol._squeezed_vacuum(d, squeezing)
+    psi = np.diag(c)
     kets = [psi @ np.diag(row[k:], k).T for k, row in
             enumerate(channels.loss_kraus_operators(d, transmittance))]
     u = fock.two_mode_unitary(d, d, "beamsplitter",

@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from magnomech import channels, fock, metrics, propagators, protocol
-from magnomech.fock import TruncationLeakError
-from magnomech.protocol import InitialState, ScenarioError
+from magnomech.protocol import InitialState, ScenarioError, TruncationLeakError
 
 TWO_PI = 2.0 * math.pi
 MIXED_TABLE = [[0.55, 0.1, 0.0], [0.1, 0.30, 0.0], [0.0, 0.0, 0.15]]
@@ -476,17 +476,24 @@ class TestRunEntanglement:
         assert rep.truncation == 30
         assert rep.en_fock.value == pytest.approx(0.536333486507, rel=1e-11)
 
-    def test_sector_route_needs_a_diagonal_pair(self):
-        psi, _ = protocol._squeezed_vacuum(6, 0.3)
-        assert protocol._entangle(psi, 0.9, 0.8,
+    def test_sector_route_needs_a_diagonal_pair(self, monkeypatch):
+        # both routes carry the pair as its amplitudes on |i, i>, so the
+        # squeezed pair is checked to have no weight off that diagonal
+        c, _ = protocol._squeezed_vacuum(6, 0.3)
+        assert c.shape == (6,)
+        assert protocol._entangle(c, 0.9, 0.8,
                                   traced=True).en_traced.method == "fock_ppt"
-        psi = psi.copy()
-        psi[1, 0] = 1e-300
+        squeeze = propagators.apply_stokes_squeeze
+
+        def off_diagonal(*args):
+            pair = squeeze(*args)
+            amps = pair.amplitudes.copy()
+            amps[pair.dims.flat_index((1, 0))] = 1e-300
+            return fock.FockKet(pair.dims, amps)
+
+        monkeypatch.setattr(propagators, "apply_stokes_squeeze", off_diagonal)
         with pytest.raises(ValueError, match="not diagonal"):
-            protocol._entangle(psi, 0.9, 0.8, traced=True)
-        # the pure (T = 1) branch reads the same diagonal
-        with pytest.raises(ValueError, match="not diagonal"):
-            protocol._entangle(psi, 0.9, 1.0, traced=False)
+            protocol._squeezed_vacuum(6, 0.3)
 
     def test_effective_squeezing_matches_metric(self):
         rep = protocol.run_entanglement(protocol.default_entanglement_scenario())
@@ -502,24 +509,40 @@ class TestRunEntanglement:
             protocol.run_entanglement(sc)
 
     def test_squeeze_leak_checked_once_against_the_budget(self, monkeypatch):
-        # the pipeline measures each squeezed pair's leak once and holds it
-        # to SQUEEZE_LEAK_BUDGET; the squeeze itself checks no budget
-        leaks = []
-        measure = fock.truncation_leak
+        # the pipeline squeezes and measures each pair once and holds its
+        # leak to SQUEEZE_LEAK_BUDGET; the squeeze itself checks no budget
+        pairs = []
+        squeeze = propagators.apply_stokes_squeeze
 
-        def counted(state, modes):
-            leaks.append(measure(state, modes))
-            return leaks[-1]
+        def counted(*args):
+            pairs.append(squeeze(*args))
+            return pairs[-1]
 
-        monkeypatch.setattr(fock, "truncation_leak", counted)
+        monkeypatch.setattr(propagators, "apply_stokes_squeeze", counted)
         protocol.entanglement_curves((0.1, 0.4), (1.0, 0.5), truncation=12)
-        assert len(leaks) == 2
+        assert len(pairs) == 2
         with pytest.raises(TruncationLeakError) as exc:
             protocol._squeezed_vacuum(8, 1.2)
-        assert len(leaks) == 3
-        assert exc.value.leak == leaks[-1] > protocol.SQUEEZE_LEAK_BUDGET
+        assert len(pairs) == 3
+        # the weight on the top shell of either mode, summed directly
+        pops = pairs[-1].populations().reshape(8, 8)
+        top = pops[7].sum() + pops[:7, 7].sum()
+        assert exc.value.leak == pytest.approx(top / pops.sum(), rel=1e-14)
+        assert exc.value.leak > protocol.SQUEEZE_LEAK_BUDGET
         assert exc.value.budget == protocol.SQUEEZE_LEAK_BUDGET
         assert str(exc.value).startswith("two-mode squeeze: truncation leak")
+
+    @pytest.mark.parametrize("r, rel", [(1.0, 1e-11), (0.65, 1e-6)])
+    def test_squeeze_leak_matches_truncated_exponential(self, r, rel):
+        # reference: expm of the squeeze generator on the truncated
+        # n_magnon = n_pulse sector, whose off-diagonals are i + 1
+        d = 30
+        gen = np.diag(np.arange(1.0, d), 1) + np.diag(np.arange(1.0, d), -1)
+        ref = expm(-1j * r * gen)[:, 0]
+        weights = np.abs(ref) ** 2
+        expect = weights[-1] / weights.sum()
+        _, leak = protocol._squeezed_vacuum(d, r)
+        assert abs(leak - expect) <= rel * expect
 
 
 class TestEntanglementCurves:
