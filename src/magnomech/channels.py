@@ -35,11 +35,8 @@ class FiberSpec:
     extra_loss_db: float = 0.0
 
     def __post_init__(self):
-        for name in ("length_km", "attenuation_db_per_km", "extra_loss_db"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
+        fock._require_fields(self, "length_km", "attenuation_db_per_km",
+                             "extra_loss_db", closed=True)
 
     @property
     def total_loss_db(self) -> float:

@@ -9,7 +9,12 @@ Subcommands:
 * ``qle``       quantum-Langevin moment integration against the closed forms
 
 Configs are flat ``key = value`` text files; frequency-like keys end in
-``_over_2pi_hz`` and are multiplied by 2*pi internally.  Every CSV starts
+``_over_2pi_hz`` and are multiplied by 2*pi internally.  Physical values
+must be finite and > 0; the magnon linewidth, mechanical damping, fiber
+length and losses and thermal occupation may be 0, and the drive detuning
+need only be finite.  Every command with a config checks every scenario
+key; ``qle`` reads the magnonic pulse and the magnon linewidth (0 unless
+set: its closed forms assume lossless matter).  Every CSV starts
 with ``#`` manifest lines (tool version, command, config path and hash,
 output path, warnings), then a header line, then data rows with 12
 significant digits and LF line endings.  Identical config and version give
@@ -18,7 +23,9 @@ stochastic.
 
 Exit codes: 0 success, 2 config or validation error (a ``qle`` run whose
 moments blow up or turn unphysical included), 3 numerical truncation
-budget exceeded.
+budget exceeded.  A rejected value is named by its config key, as
+configured: ``error: mech_pulse_coupling_over_2pi_hz must be finite and
+> 0, got 0``.
 """
 
 from __future__ import annotations
@@ -29,9 +36,7 @@ import hashlib
 import math
 import sys
 
-from . import __version__, moments, protocol
-
-TWO_PI = 2.0 * math.pi
+from . import __version__, fock, moments, protocol
 
 FIG5_SQUEEZINGS = tuple(0.05 * i for i in range(31))   # r = 0 .. 1.5
 FIG5_EFFICIENCIES = (1.0, 0.8, 0.5, 0.2)               # upper to lower curve
@@ -45,7 +50,7 @@ class ConfigError(Exception):
 
 
 def _angular(raw: str) -> float:
-    return TWO_PI * float(raw)
+    return protocol.TWO_PI * float(raw)
 
 
 def _boolean(raw: str) -> bool:
@@ -179,30 +184,30 @@ def parse_state_token(token: str) -> protocol.InitialState:
     raise ConfigError(f"unknown state token {token!r}")
 
 
-def _overlay(spec, cfg: dict, keys: dict):
-    """``spec`` with each field whose config key is set taken from cfg."""
-    return dataclasses.replace(
-        spec, **{f: cfg[k] for f, k in keys.items() if k in cfg})
-
-
-def _default_scenario(entangling: bool) -> protocol.ScenarioConfig:
-    return protocol.default_entanglement_scenario() if entangling \
-        else protocol.default_transfer_scenario()
+def _config_error(exc: fock._DomainError, key: str) -> ConfigError:
+    """``exc`` named by config ``key``, with the value as configured: in Hz
+    for an ``_over_2pi_hz`` key."""
+    value = exc.value / protocol.TWO_PI if key.endswith("_over_2pi_hz") \
+        else exc.value
+    return ConfigError(f"{key} must be {exc.rule}, got {_fmt(value)}")
 
 
 def build_scenario(cfg: dict, *, entangling: bool = False,
                    truncation: int | None = None) -> protocol.ScenarioConfig:
-    """Scenario from config values over the reference operating point."""
-    base = _default_scenario(entangling)
+    """Scenario from config values over the reference operating point;
+    a field out of its domain is reported under its config key."""
+    base = protocol.default_entanglement_scenario() if entangling \
+        else protocol.default_transfer_scenario()
     # an unset detuning keeps the drive on the configured red sideband
     cfg = {"mech_detuning_over_2pi_hz": cfg.get(
         "mech_freq_over_2pi_hz", base.mechanical.mech_freq), **cfg}
     fields = {}
     for part, keys in _PART_KEYS.items():
+        overrides = {f: cfg[k] for f, k in keys.items() if k in cfg}
         try:
-            fields[part] = _overlay(getattr(base, part), cfg, keys)
-        except ValueError as exc:   # ScenarioError included
-            raise ConfigError(f"{part}: {exc}") from exc
+            fields[part] = dataclasses.replace(getattr(base, part), **overrides)
+        except fock._DomainError as exc:
+            raise _config_error(exc, keys[exc.field]) from exc
     if "initial_states" in cfg:
         tokens = [tok for tok in cfg["initial_states"].split(",") if tok.strip()]
         if not tokens:
@@ -213,6 +218,8 @@ def build_scenario(cfg: dict, *, entangling: bool = False,
         fields["truncation"] = truncation
     try:
         return dataclasses.replace(base, **fields)
+    except fock._DomainError as exc:   # an option, keyed by its field name
+        raise _config_error(exc, exc.field) from exc
     except protocol.ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -323,17 +330,20 @@ def cmd_qle(args) -> int:
     if process not in QLE_PROCESSES:
         raise ConfigError(f"qle_process must be one of {QLE_PROCESSES}, "
                           f"got {process!r}")
-    ratios = cfg.get("qle_coupling_ratios", DEFAULT_QLE_RATIOS)
-    pulse = _overlay(_default_scenario(process == "stokes").magnon_pulse,
-                     cfg, _PART_KEYS["magnon_pulse"])
-    linewidth = cfg.get("magnon_linewidth_over_2pi_hz", 0.0)
-    if not 0.0 <= linewidth < math.inf:   # NaN fails too
-        raise ConfigError("magnon_linewidth_over_2pi_hz must be finite and "
-                          f">= 0, got {_fmt(linewidth / TWO_PI)}")
+    scenario = build_scenario(cfg, entangling=process == "stokes")
+    pulse = scenario.magnon_pulse
+    # the closed forms assume lossless matter, the default here
+    linewidth = scenario.magnonic.magnon_linewidth \
+        if "magnon_linewidth_over_2pi_hz" in cfg else 0.0
     try:
         rows = moments.validate_adiabatic(
-            pulse.cavity_linewidth, pulse.pulse_area, ratios, process=process,
-            matter_linewidth=linewidth)
+            pulse.cavity_linewidth, pulse.pulse_area,
+            cfg.get("qle_coupling_ratios", DEFAULT_QLE_RATIOS),
+            process=process, matter_linewidth=linewidth)
+    except fock._DomainError as exc:
+        if exc.field != "coupling_ratios":
+            raise
+        raise _config_error(exc, "qle_coupling_ratios") from exc
     except RuntimeError as exc:
         raise ConfigError(f"qle process {process}: {exc}") from exc
     lines = _manifest("qle", args.config, digest, args.out)
@@ -394,7 +404,7 @@ def main(argv=None) -> int:
         print(f"error: truncation budget exceeded: leak {exc.leak:.3e} over "
               f"budget {exc.budget:.3e}; raise --truncation", file=sys.stderr)
         return 3
-    except (protocol.ScenarioError, ValueError) as exc:
+    except ValueError as exc:   # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

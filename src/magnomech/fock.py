@@ -14,12 +14,14 @@ which it is tridiagonal.  The per-sector eigensystems are cached per
 (dim, dim, kind), so sweeps over the angle cost a few small matmuls per
 sector and never form a d_a d_b x d_a d_b matrix on a ket.  An undersized
 basis shows as weight on the top shell, not as lost trace; each pipeline
-measures it on its own state (see :mod:`magnomech.protocol`).
+measures it on its own state (see :mod:`magnomech.protocol`).  Every
+module imports this one, so it holds the one domain check, :func:`_require`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +31,36 @@ HERMITICITY_TOL = 1e-10
 KET_NORM_TOL = 1e-12
 
 GENERATOR_KINDS = ("beamsplitter", "two_mode_squeeze")
+
+
+class _DomainError(ValueError):
+    """A physical ``field`` whose ``value`` breaks its domain ``rule``
+    (``finite and > 0``, say)."""
+
+    def __init__(self, field: str, value: float, rule: str):
+        super().__init__(f"{field} must be {rule}, got {value!r}")
+        self.field, self.value, self.rule = field, value, rule
+
+
+def _require(field: str, value, lo: float = 0.0, *,
+             closed: bool = False) -> float:
+    """float(value) if lo < value < inf (lo <= value when ``closed``), else
+    :class:`_DomainError` naming ``field``.  NaN fails every comparison, so
+    it fails this one; lo = -inf asks for a finite value only."""
+    v = float(value)
+    if not (lo <= v < math.inf if closed else lo < v < math.inf):
+        rule = "finite" if lo == -math.inf \
+            else f"finite and {'>=' if closed else '>'} {lo:g}"
+        raise _DomainError(field, v, rule)
+    return v
+
+
+def _require_fields(spec, *names: str, lo: float = 0.0,
+                    closed: bool = False) -> None:
+    """Store each named field of a frozen spec as checked by :func:`_require`."""
+    for name in names:
+        object.__setattr__(spec, name, _require(name, getattr(spec, name), lo,
+                                                closed=closed))
 
 
 @dataclass(frozen=True)
@@ -267,9 +299,7 @@ def two_mode_unitary(da: int, db: int, kind: str, angle: float) -> np.ndarray:
     """exp(-i * angle * K) on the pair space, K the Hermitian pair generator."""
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
-    angle = float(angle)
-    if not np.isfinite(angle):
-        raise ValueError("angle must be finite")
+    angle = _require("angle", angle, -math.inf)
     u = np.zeros((da * db, da * db), dtype=complex)
     for idx, w, v in pair_generator_eigensystem(int(da), int(db), kind):
         u[np.ix_(idx, idx)] = (v * np.exp(-1j * angle * w)) @ v.T
@@ -318,9 +348,7 @@ def apply_two_mode_exponential(state, mode_a: int, mode_b: int, kind: str,
         if kind not in GENERATOR_KINDS:
             raise ValueError(
                 f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
-        angle = float(angle)
-        if not np.isfinite(angle):
-            raise ValueError("angle must be finite")
+        angle = _require("angle", angle, -math.inf)
         pair = dims.dims[mode_a] * dims.dims[mode_b]
         t = state.amplitudes.reshape(dims.dims)
         t = np.moveaxis(t, (mode_a, mode_b), (0, 1))

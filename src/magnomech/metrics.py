@@ -130,10 +130,8 @@ def effective_squeezing(squeezing: float, efficiency: float) -> float:
     Monotone in both arguments; r' = r at eta = 1 and 0 at eta = 0.  The
     matching closed-form log negativity of the swapped pair is 2 * r'.
     """
-    r = float(squeezing)
+    r = fock._require("squeezing", squeezing, closed=True)
     eta = float(efficiency)
-    if r < 0.0:
-        raise ValueError("squeezing must be >= 0")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency {eta!r} outside [0, 1]")
     return float(np.arctanh(np.sqrt(eta) * np.tanh(r)))

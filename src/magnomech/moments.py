@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import metrics
+from . import fock, metrics
 
 DRIFT_KINDS = (
     "magnonic_antistokes",
@@ -130,12 +130,6 @@ class DriftDiffusion:
         return not (callable(self.drift) or callable(self.diffusion))
 
 
-def _check_rates(**rates):
-    for name, v in rates.items():
-        if v < 0.0 or not np.isfinite(v):
-            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-
-
 def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
                 matter_linewidth: float = 0.0, mech_freq: float | None = None,
                 detuning: float | None = None) -> DriftDiffusion:
@@ -152,12 +146,9 @@ def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
     """
     if kind not in DRIFT_KINDS:
         raise ValueError(f"unknown drift kind {kind!r}; expected one of {DRIFT_KINDS}")
-    kappa = float(cavity_linewidth)
-    gm = float(matter_linewidth)
-    g = float(coupling)
-    _check_rates(cavity_linewidth=kappa, matter_linewidth=gm, coupling=g)
-    if kappa == 0.0:
-        raise ValueError("cavity_linewidth must be > 0")
+    kappa = fock._require("cavity_linewidth", cavity_linewidth)
+    gm = fock._require("matter_linewidth", matter_linewidth, closed=True)
+    g = fock._require("coupling", coupling, closed=True)
 
     diffusion = np.diag([kappa, kappa, gm, gm])
     damping = np.diag([-kappa / 2.0, -gm / 2.0])
@@ -176,10 +167,8 @@ def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
         # db/dt = (-gm/2 - i wm) b + iG (c + c^dag)
         if mech_freq is None or detuning is None:
             raise ValueError("optomech_full needs mech_freq and detuning")
-        wm = float(mech_freq)
-        if wm <= 0.0:
-            raise ValueError("mech_freq must be > 0")
-        rotation = np.diag([float(detuning), wm])
+        wm = fock._require("mech_freq", mech_freq)
+        rotation = np.diag([fock._require("detuning", detuning, -math.inf), wm])
         m, n = damping - 1j * rotation + 1j * g * pair, 1j * g * pair
     return DriftDiffusion(_quadrature_drift(m, n), diffusion)
 
@@ -209,10 +198,8 @@ def integrate(state: CovarianceState, dd: DriftDiffusion, duration: float,
     filter mode, which is not canonical mid-pulse).  Raises on unphysical
     covariances and on a covariance entry beyond ``_NORM_BOUND``.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be > 0")
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
+    duration = fock._require("duration", duration)
+    dt = fock._require("dt", dt)
     n_steps = max(1, int(math.ceil(duration / dt - 1e-12)))
     h = duration / n_steps
     mean = state.mean.copy()
@@ -255,8 +242,7 @@ def propagate_static(state: CovarianceState, dd: DriftDiffusion,
     """
     if not dd.is_static:
         raise ValueError("propagate_static needs a constant drift and diffusion")
-    if duration <= 0.0:
-        raise ValueError("duration must be > 0")
+    duration = fock._require("duration", duration)
     a = np.asarray(dd.drift, dtype=float)
     n = a.shape[0]
     eye = np.eye(n)
@@ -338,14 +324,11 @@ def validate_adiabatic(cavity_linewidth: float, pulse_area: float,
     """
     if process not in ("antistokes", "stokes"):
         raise ValueError("process must be 'antistokes' or 'stokes'")
-    if pulse_area <= 0.0:
-        raise ValueError("pulse_area must be > 0")
+    pulse_area = fock._require("pulse_area", pulse_area)
     kappa = float(cavity_linewidth)
     rows = []
     for ratio in coupling_ratios:
-        ratio = float(ratio)
-        if ratio <= 0.0:
-            raise ValueError("coupling ratios must be > 0")
+        ratio = fock._require("coupling_ratios", ratio)
         g = ratio * kappa
         gscript = 2.0 * g**2 / kappa
         tau = pulse_area / gscript
@@ -422,19 +405,18 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
     (input-output relation a_out = sqrt(kappa) a - a_in), giving
     time-dependent off-diagonal diffusion.
     """
-    kappa = float(cavity_linewidth)
-    g = float(coupling)
-    gm = float(matter_linewidth)
-    _check_rates(cavity_linewidth=kappa, coupling=g, matter_linewidth=gm)
+    kappa = fock._require("cavity_linewidth", cavity_linewidth)
+    g = fock._require("coupling", coupling)
+    duration = fock._require("duration", duration)
     gscript = 2.0 * g**2 / kappa
-    if gscript == 0.0 or duration <= 0.0:
-        raise ValueError("the capture needs coupling > 0 and duration > 0")
-    norm = math.sqrt(2.0 * gscript / (math.exp(2.0 * gscript * float(duration))
-                                      - 1.0))
+    # zero once 2 G tau underflows: the profile then has no norm
+    growth = fock._require("exp(2 G tau) - 1",
+                           math.exp(2.0 * gscript * duration) - 1.0)
+    norm = math.sqrt(2.0 * gscript / growth)
     sq = math.sqrt(kappa)
 
     base = build_drift("magnonic_stokes", cavity_linewidth=kappa, coupling=g,
-                       matter_linewidth=gm)
+                       matter_linewidth=matter_linewidth)
     a22 = base.drift
     d22 = base.diffusion
 

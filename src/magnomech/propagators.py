@@ -37,11 +37,7 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self):
-        for name in ("coupling", "cavity_linewidth", "duration"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, v)
+        fock._require_fields(self, "coupling", "cavity_linewidth", "duration")
 
     @property
     def adiabatic_rate(self) -> float:
@@ -91,8 +87,6 @@ def apply_stokes_squeeze(state, magnon_mode: int, field_mode: int,
     leak from its own representation and judges it, as
     :func:`magnomech.protocol._squeezed_vacuum` does for the vacuum pair.
     """
-    r = float(squeezing)
-    if r < 0.0 or not np.isfinite(r):
-        raise ValueError(f"squeezing must be finite and >= 0, got {r!r}")
+    r = fock._require("squeezing", squeezing, closed=True)
     return fock.apply_two_mode_exponential(
         state, magnon_mode, field_mode, "two_mode_squeeze", r)

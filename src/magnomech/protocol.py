@@ -63,7 +63,8 @@ SQUEEZE_LEAK_BUDGET = 2e-3
 
 
 class ScenarioError(ValueError):
-    """Structurally invalid scenario (bad rates, impossible dimensions)."""
+    """Structurally invalid scenario (no initial state, impossible
+    dimensions); a field out of its domain fails ``fock._require``."""
 
 
 class TruncationLeakError(RuntimeError):
@@ -76,14 +77,6 @@ class TruncationLeakError(RuntimeError):
         super().__init__(
             f"two-mode squeeze: truncation leak {self.leak:.3e} exceeds "
             f"budget {self.budget:.3e}; enlarge the per-mode truncation")
-
-
-def _require_positive(obj, names):
-    for name in names:
-        v = float(getattr(obj, name))
-        if not np.isfinite(v) or v <= 0.0:
-            raise ScenarioError(f"{name} must be finite and > 0, got {v!r}")
-        object.__setattr__(obj, name, v)
 
 
 @dataclass(frozen=True)
@@ -103,9 +96,9 @@ class MagnonicNodeSpec:
     magnon_linewidth: float
 
     def __post_init__(self):
-        _require_positive(self, ("te_mode_freq", "tm_mode_freq", "magnon_freq",
-                                 "te_linewidth", "tm_linewidth",
-                                 "magnon_linewidth"))
+        fock._require_fields(self, "te_mode_freq", "tm_mode_freq",
+                             "magnon_freq", "te_linewidth", "tm_linewidth")
+        fock._require_fields(self, "magnon_linewidth", closed=True)
 
     @property
     def mode_splitting(self) -> float:
@@ -127,12 +120,10 @@ class MechanicalNodeSpec:
     drive_detuning: float
 
     def __post_init__(self):
-        _require_positive(self, ("cavity_freq", "mech_freq", "cavity_linewidth",
-                                 "mech_damping"))
-        v = float(self.drive_detuning)
-        if not np.isfinite(v):
-            raise ScenarioError("drive_detuning must be finite")
-        object.__setattr__(self, "drive_detuning", v)
+        fock._require_fields(self, "cavity_freq", "mech_freq",
+                             "cavity_linewidth")
+        fock._require_fields(self, "mech_damping", closed=True)
+        fock._require_fields(self, "drive_detuning", lo=-math.inf)
 
 
 class InitialState:
@@ -250,10 +241,7 @@ class ScenarioConfig:
         if not states:
             raise ScenarioError("need at least one initial state")
         object.__setattr__(self, "initial_states", states)
-        occ = float(self.phonon_thermal_occupation)
-        if not np.isfinite(occ) or occ < 0.0:
-            raise ScenarioError("phonon_thermal_occupation must be >= 0")
-        object.__setattr__(self, "phonon_thermal_occupation", occ)
+        fock._require_fields(self, "phonon_thermal_occupation", closed=True)
 
 
 @dataclass(frozen=True)
@@ -278,9 +266,9 @@ def _check(name, value, bound, description) -> ValidationCheck:
 def validate_scenario(scenario: ScenarioConfig) -> list[ValidationCheck]:
     """Physical-regime checks behind the pulsed, adiabatic description.
 
-    Structural problems (non-positive rates and the like) raise
-    ScenarioError at construction time; everything here is a soft check
-    whose failure downgrades to a warning in the pipeline reports.
+    Out-of-domain fields and structural problems raise ValueError at
+    construction time; everything here is a soft check whose failure
+    downgrades to a warning in the pipeline reports.
     """
     mag = scenario.magnonic
     mech = scenario.mechanical

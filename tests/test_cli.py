@@ -15,6 +15,9 @@ from magnomech.cli import ConfigError
 from test_metrics import dense_entangle_states
 
 TWO_PI = 2.0 * math.pi
+# the config keys whose values are floats (the qle ratios a list of them)
+FLOAT_KEYS = sorted(key for key, parse in cli.CONFIG_KEYS.items()
+                    if isinstance(parse("1"), (float, tuple)))
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -427,6 +430,23 @@ class TestValidateCommand:
         assert "red_detuning" in out
 
 
+# zero matter loss: nothing divides by the magnon linewidth or the
+# mechanical damping, so either may be 0 under every command
+@pytest.mark.parametrize("key", ["magnon_linewidth_over_2pi_hz",
+                                 "mech_damping_over_2pi_hz"])
+@pytest.mark.parametrize("command", ["transfer", "entangle", "validate", "qle"])
+def test_zero_matter_loss_runs(tmp_path, capsys, command, key):
+    path = write_config(tmp_path, f"{key} = 0\n")
+    if command == "validate":
+        assert cli.main([command, path]) == 0
+        return
+    out, default = tmp_path / "x.csv", tmp_path / "default.csv"
+    assert cli.main([command, path, "--out", str(out)]) == 0
+    if command != "qle":   # qle reads the linewidth; 0 is its default
+        assert cli.main([command, "--out", str(default)]) == 0
+        assert read_csv(out)[1:] == read_csv(default)[1:]
+
+
 class TestQleCommand:
     def test_single_ratio_antistokes(self, tmp_path):
         path = write_config(tmp_path, "qle_coupling_ratios = 0.02\n")
@@ -487,27 +507,63 @@ class TestErrorPaths:
             assert f"{key[len('fiber_'):]} must be finite" in \
                 capsys.readouterr().err
 
-    # the CLI edge values of a scenario part: each error names the part
-    # and the field, since both pulses share the field names
+    # the CLI edge values of a pulse field: both pulses share the field
+    # names, so each error names the config key, which names the part
     @pytest.mark.parametrize("key, part, field", [
         ("magnon_pulse_coupling_over_2pi_hz", "magnon_pulse", "coupling"),
         ("mech_pulse_coupling_over_2pi_hz", "mech_pulse", "coupling"),
         ("magnon_pulse_duration_s", "magnon_pulse", "duration"),
         ("mech_pulse_duration_s", "mech_pulse", "duration"),
-        ("magnon_linewidth_over_2pi_hz", "magnonic", "magnon_linewidth"),
-        ("mech_damping_over_2pi_hz", "mechanical", "mech_damping"),
     ])
     @pytest.mark.parametrize("command", ["transfer", "entangle", "validate"])
     def test_zero_part_field_names_the_part(self, tmp_path, capsys, command,
                                             key, part, field):
+        assert cli._PART_KEYS[part][field] == key
         path = write_config(tmp_path, f"{key} = 0\n")
         out = tmp_path / "x.csv"
         argv = [command, path] + ([] if command == "validate"
                                   else ["--out", str(out)])
         assert cli.main(argv) == 2
-        assert f"error: {part}: {field} must be finite and > 0" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: {key} must be finite and > 0, got 0\n"
         assert not out.exists()
+
+    # every float-valued key, under every command that reads it: the
+    # scenario keys are read by every command with a config, the qle_
+    # keys by qle only
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for key in FLOAT_KEYS
+        for command in (("qle",) if key.startswith("qle_")
+                        else ("transfer", "entangle", "validate", "qle"))])
+    def test_nan_is_rejected_under_its_key(self, tmp_path, capsys, command,
+                                           key):
+        path = write_config(tmp_path, f"{key} = nan\n")
+        out = tmp_path / "x.csv"
+        argv = [command, path] + ([] if command == "validate"
+                                  else ["--out", str(out)])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} ")
+        assert "Traceback" not in captured.err
+        assert "np.float64" not in captured.err
+        assert not out.exists()
+
+    # qle once built its pulse and read its ratios outside build_scenario,
+    # and named a library field in angular units
+    @pytest.mark.parametrize("text, line", [
+        ("tm_linewidth_over_2pi_hz = -1",
+         "error: tm_linewidth_over_2pi_hz must be finite and > 0, got -1"),
+        ("magnon_pulse_coupling_over_2pi_hz = 0",
+         "error: magnon_pulse_coupling_over_2pi_hz must be finite and > 0, "
+         "got 0"),
+        ("qle_coupling_ratios = nan",
+         "error: qle_coupling_ratios must be finite and > 0, got nan"),
+    ])
+    def test_qle_names_the_config_key(self, tmp_path, capsys, text, line):
+        path = write_config(tmp_path, text + "\n")
+        assert cli.main(["qle", path]) == 2
+        assert capsys.readouterr().err == line + "\n"
 
     # inputs that once crashed or gave a cryptic message: a Stokes pulse
     # whose moments blow up, a negative magnon linewidth in qle, and a

@@ -272,6 +272,12 @@ class TestEffectiveSqueezing:
         with pytest.raises(ValueError):
             metrics.effective_squeezing(0.5, 1.5)
 
+    def test_rejects_nan_squeezing(self):
+        # NaN fails every comparison, so a `< 0` test let it through
+        with pytest.raises(ValueError, match="^squeezing must be finite and "
+                                             ">= 0, got nan$"):
+            metrics.effective_squeezing(math.nan, 0.5)
+
 
 class TestSymplectic:
     def test_form_blocks(self):

@@ -438,8 +438,20 @@ class TestValidateAdiabatic:
             moments.validate_adiabatic(KAPPA, 0.1, (0.02,), process="raman")
         with pytest.raises(ValueError, match="pulse_area"):
             moments.validate_adiabatic(KAPPA, 0.0, (0.02,))
-        with pytest.raises(ValueError, match="coupling ratios"):
+        with pytest.raises(ValueError, match="coupling_ratios"):
             moments.validate_adiabatic(KAPPA, 0.1, (-0.02,))
+
+    # NaN fails every comparison, so a NaN argument once slipped past a
+    # `<= 0` test: each is now rejected under its own name
+    def test_nan_pulse_area_is_named(self):
+        with pytest.raises(ValueError,
+                           match="^pulse_area must be finite and > 0, got nan$"):
+            moments.validate_adiabatic(KAPPA, math.nan, (0.1,))
+
+    def test_nan_coupling_ratio_is_named(self):
+        with pytest.raises(ValueError, match="^coupling_ratios must be finite "
+                                             "and > 0, got nan$"):
+            moments.validate_adiabatic(KAPPA, 0.5, (math.nan,))
 
 
 class TestRwaComparison:
@@ -473,9 +485,14 @@ class TestTemporalModeCapture:
         # the drift feeds sqrt(kappa) f of the cavity into the filter
         assert dd.drift_at(tau)[4, 0] ** 2 == pytest.approx(KAPPA * f2[-1],
                                                            rel=1e-12)
-        # no coupling or no pulse: there is no output profile to capture
-        for g, tau in ((0.0, 40e-9), (TWO_PI * 10e6, 0.0)):
-            with pytest.raises(ValueError, match="coupling > 0 and duration"):
+        # no coupling or no pulse, or a pulse area that underflows: there
+        # is no output profile to capture
+        for g, tau, name in ((0.0, 40e-9, "coupling"),
+                             (TWO_PI * 10e6, 0.0, "duration"),
+                             (1e-170, 40e-9, r"exp\(2 G tau\) - 1"),
+                             (TWO_PI * 10e6, 1e-320, r"exp\(2 G tau\) - 1")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite "
+                                                 "and > 0, got 0.0$"):
                 moments.stokes_capture_drift(KAPPA, g, tau)
 
     def test_stokes_output_mode_entanglement(self):

@@ -29,17 +29,20 @@ class TestNodeSpecs:
         assert node.mode_splitting == pytest.approx(node.magnon_freq)
 
     def test_positive_rate_enforcement(self):
-        with pytest.raises(ScenarioError, match="te_linewidth"):
+        with pytest.raises(fock._DomainError,
+                           match="^te_linewidth must be finite and > 0, got 0.0$"):
             protocol.MagnonicNodeSpec(
                 te_mode_freq=1.0, tm_mode_freq=1.0, magnon_freq=1.0,
                 te_linewidth=0.0, tm_linewidth=1.0, magnon_linewidth=1.0)
-        with pytest.raises(ScenarioError, match="mech_damping"):
+        with pytest.raises(fock._DomainError,
+                           match="^mech_damping must be finite and >= 0, got -1.0$"):
             protocol.MechanicalNodeSpec(
                 cavity_freq=1.0, mech_freq=1.0, cavity_linewidth=1.0,
                 mech_damping=-1.0, drive_detuning=1.0)
 
     def test_drive_detuning_must_be_finite(self):
-        with pytest.raises(ScenarioError, match="drive_detuning"):
+        with pytest.raises(fock._DomainError,
+                           match="^drive_detuning must be finite, got nan$"):
             protocol.MechanicalNodeSpec(
                 cavity_freq=1.0, mech_freq=1.0, cavity_linewidth=1.0,
                 mech_damping=1.0, drive_detuning=float("nan"))
@@ -117,7 +120,9 @@ class TestScenarioConfig:
             dataclasses.replace(transfer_scenario(), initial_states=())
 
     def test_rejects_negative_thermal(self):
-        with pytest.raises(ScenarioError, match="phonon_thermal_occupation"):
+        with pytest.raises(fock._DomainError,
+                           match="^phonon_thermal_occupation must be finite "
+                                 "and >= 0, got -0.1$"):
             dataclasses.replace(transfer_scenario(),
                                 phonon_thermal_occupation=-0.1)
 
