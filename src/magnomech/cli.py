@@ -12,7 +12,8 @@ Configs are flat ``key = value`` text files; frequency-like keys end in
 ``_over_2pi_hz`` and are multiplied by 2*pi internally.  Physical values
 must be finite and > 0; the magnon linewidth, mechanical damping, fiber
 length and losses and thermal occupation may be 0, and the drive detuning
-need only be finite.  Every command with a config checks every scenario
+need only be finite; each pulse's area 2 G^2 tau / kappa must be finite
+(and, for ``qle``, > 0).  Every command with a config checks every scenario
 key; ``qle`` reads the magnonic pulse and the magnon linewidth (0 unless
 set: its closed forms assume lossless matter).  Every CSV starts
 with ``#`` manifest lines (tool version, command, config path and hash,
@@ -332,6 +333,13 @@ def cmd_qle(args) -> int:
                           f"got {process!r}")
     scenario = build_scenario(cfg, entangling=process == "stokes")
     pulse = scenario.magnon_pulse
+    # the closed forms need a pulse: an area that underflowed to 0 (G^2
+    # below the float range) is named by the coupling key
+    if not pulse.pulse_area > 0.0:
+        raise ConfigError(
+            f"{_PART_KEYS['magnon_pulse']['coupling']} must be large enough "
+            f"that the pulse area 2 G^2 tau / kappa is > 0, "
+            f"got {_fmt(pulse.coupling / protocol.TWO_PI)}")
     # the closed forms assume lossless matter, the default here
     linewidth = scenario.magnonic.magnon_linewidth \
         if "magnon_linewidth_over_2pi_hz" in cfg else 0.0

@@ -15,6 +15,7 @@ as exact two-mode exponentials, see :mod:`magnomech.fock`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,9 @@ class PulseSpec:
     """One drive pulse: effective coupling, cavity linewidth, duration.
 
     coupling and cavity_linewidth are angular rates (rad/s), duration is
-    in seconds.  All must be strictly positive.
+    in seconds.  All must be strictly positive, and the pulse area finite:
+    past the float range the coupling is named when its rate already is,
+    else the duration.
     """
 
     coupling: float
@@ -38,6 +41,15 @@ class PulseSpec:
 
     def __post_init__(self):
         fock._require_fields(self, "coupling", "cavity_linewidth", "duration")
+        try:
+            rate = self.adiabatic_rate
+        except OverflowError:   # coupling**2 on a Python float
+            rate = math.inf
+        if not rate * self.duration < math.inf:
+            name = "coupling" if rate == math.inf else "duration"
+            raise fock._DomainError(
+                name, getattr(self, name),
+                "small enough that the pulse area 2 G^2 tau / kappa is finite")
 
     @property
     def adiabatic_rate(self) -> float:

@@ -20,12 +20,11 @@ matrix through three channels (swap in, fiber loss, swap out), each
 applied from its diagonals as shifted slices times elementwise products.
 Its branch is kept subnormalized, so the fidelity against the target ket
 reads as the success probability of a perfect transfer and reproduces
-the closed-form values STW, (SW)^n and the superposition formula; the
-unconditioned (traced) state is reported alongside.  The entanglement
-protocol carries a pure two-mode state as one ket and builds a mixed one
-straight into a (d + 1, d, d) stack of its n_magnon - n_phonon sector
-blocks, which every Kraus and swap column respects, so no d^2 x d^2
-matrix is formed; its branch is renormalized.
+the closed-form values STW, (SW)^n and the superposition formula.  The
+entanglement protocol carries a pure two-mode state as one ket and
+builds a mixed one straight into a (d + 1, d, d) stack of its
+n_magnon - n_phonon sector blocks, which every Kraus and swap column
+respects, so no d^2 x d^2 matrix is formed; its branch is renormalized.
 In the lossless case the branch is exactly a two-mode squeezed vacuum
 with tanh r' = sqrt(W) tanh r, hence E_N = 2 r'.
 
@@ -127,42 +126,25 @@ class MechanicalNodeSpec:
 
 
 class InitialState:
-    """Initial magnon state: a pure coefficient vector or a density table.
+    """Initial magnon state: a normalized number-basis coefficient vector.
 
-    The pure families cover Fock states and two-level superpositions; a
-    general Hermitian table c[n, s] describes arbitrary (possibly mixed)
-    number-basis states.  ``label`` names the state in reports and CSV.
+    The families cover Fock states and two-level superpositions; any other
+    pure state is its ``ket``.  ``label`` names the state in reports and
+    CSV.
     """
 
-    __slots__ = ("label", "ket", "table")
+    __slots__ = ("label", "ket")
 
-    def __init__(self, label: str, *, ket=None, table=None):
-        if (ket is None) == (table is None):
-            raise ValueError("exactly one of ket and table must be given")
+    def __init__(self, label: str, ket):
         self.label = str(label)
-        if ket is not None:
-            k = np.asarray(ket, dtype=complex).reshape(-1).copy()
-            if k.size < 1:
-                raise ValueError("empty coefficient vector")
-            nrm = float(np.linalg.norm(k))
-            if abs(nrm - 1.0) > 1e-9:
-                raise ValueError(f"coefficients not normalized (norm {nrm!r})")
-            self.ket = k
-            self.ket.flags.writeable = False
-            self.table = None
-        else:
-            t = np.asarray(table, dtype=complex).copy()
-            if t.ndim != 2 or t.shape[0] != t.shape[1]:
-                raise ValueError("coefficient table must be square")
-            if float(np.max(np.abs(t - t.conj().T))) > 1e-9:
-                raise ValueError("coefficient table must be Hermitian")
-            if abs(float(t.trace().real) - 1.0) > 1e-9:
-                raise ValueError("coefficient table must have unit trace")
-            if np.linalg.eigvalsh(t)[0] < -1e-9:
-                raise ValueError("coefficient table must be positive semidefinite")
-            self.table = t
-            self.table.flags.writeable = False
-            self.ket = None
+        k = np.asarray(ket, dtype=complex).reshape(-1).copy()
+        if k.size < 1:
+            raise ValueError("empty coefficient vector")
+        nrm = float(np.linalg.norm(k))
+        if abs(nrm - 1.0) > 1e-9:
+            raise ValueError(f"coefficients not normalized (norm {nrm!r})")
+        self.ket = k
+        self.ket.flags.writeable = False
 
     @classmethod
     def fock(cls, n: int) -> "InitialState":
@@ -180,39 +162,25 @@ class InitialState:
         return cls("superposition", ket=[inv, inv])
 
     @property
-    def is_pure(self) -> bool:
-        return self.ket is not None
-
-    @property
     def min_dim(self) -> int:
-        if self.ket is not None:
-            nz = np.nonzero(np.abs(self.ket) > 0.0)[0]
-            top = int(nz[-1]) if nz.size else 0
-            return max(2, top + 1)
-        return max(2, self.table.shape[0])
-
-    def coefficient_table(self) -> np.ndarray:
-        """Density table c[n, s] regardless of purity."""
-        if self.ket is not None:
-            return np.outer(self.ket, self.ket.conj())
-        return self.table.copy()
+        nz = np.nonzero(np.abs(self.ket) > 0.0)[0]
+        top = int(nz[-1]) if nz.size else 0
+        return max(2, top + 1)
 
     def density(self, dim: int) -> fock.FockDensityMatrix:
-        """Embed into a dim-level single-mode density matrix."""
+        """Embed |ket><ket| into a dim-level single-mode density matrix."""
         dim = int(dim)
         if self.min_dim > dim:
             raise ScenarioError(
                 f"state {self.label!r} needs at least {self.min_dim} levels, "
                 f"truncation is {dim}")
-        c = self.coefficient_table()
+        n = self.ket.size
         m = np.zeros((dim, dim), dtype=complex)
-        m[: c.shape[0], : c.shape[1]] = c
+        m[:n, :n] = np.outer(self.ket, self.ket.conj())
         return fock.FockDensityMatrix(fock.ModeDims((dim,)), m)
 
-    def target_ket(self, dim: int) -> fock.FockKet | None:
-        """The pure target for fidelity; None for mixed tables."""
-        if self.ket is None:
-            return None
+    def target_ket(self, dim: int) -> fock.FockKet:
+        """The ket padded to dim levels, the target for fidelity."""
         amps = np.zeros(int(dim), dtype=complex)
         amps[: self.ket.size] = self.ket
         return fock.FockKet(fock.ModeDims((int(dim),)), amps)
@@ -331,17 +299,14 @@ class TransferReport:
     transmittance: float
     truncation: int
     phonon_state: fock.FockDensityMatrix
-    phonon_state_traced: fock.FockDensityMatrix
     branch_probability: float
-    fidelity_engine: float | None
-    fidelity_engine_uncompensated: float | None
-    fidelity_closed_form: float | None
+    fidelity_engine: float
+    fidelity_engine_uncompensated: float
+    fidelity_closed_form: float
     warnings: tuple[str, ...]
 
     @property
-    def fidelity_gap(self) -> float | None:
-        if self.fidelity_engine is None or self.fidelity_closed_form is None:
-            return None
+    def fidelity_gap(self) -> float:
         return abs(self.fidelity_engine - self.fidelity_closed_form)
 
 
@@ -373,14 +338,12 @@ def run_transfer(scenario: ScenarioConfig,
     of the beamsplitter with the source left holding m excitations and
     the target starting in |k>: the swap in starts from an empty pulse,
     the swap out from the phonon's thermal levels k, weighted by
-    sqrt(p_k).  The fiber is its loss channel.  Keeping only m = 0 after
-    each swap conditions the magnon and then the pulse mode on vacuum, so
-    ``phonon_state`` is the subnormalized branch the closed forms
-    describe; summing over every m gives the unconditioned reduced state
-    ``phonon_state_traced`` for comparison.  Fidelities are reported
-    against the initial ket with the deterministic two-swap phase
-    compensated, plus the raw uncompensated value; both are None for
-    mixed initial tables.
+    sqrt(p_k).  The fiber is its loss channel.  Only m = 0 is kept after
+    each swap, which conditions the magnon and then the pulse mode on
+    vacuum, so ``phonon_state`` is the subnormalized branch the closed
+    forms describe.  Fidelities are reported against the initial ket
+    with the deterministic two-swap phase compensated, plus the raw
+    uncompensated value.
     """
     if state is None:
         state = scenario.initial_states[0]
@@ -395,46 +358,32 @@ def run_transfer(scenario: ScenarioConfig,
         warnings = warnings + (
             "phonon starts thermal; closed-form fidelity assumes ground state",)
 
-    # row m of a contraction table moves level n to n + occupied - m,
-    # row k of the loss table moves it to n - k
-    swap_in = _contraction_diagonals(d, d, s_eff, d)
+    # row 0 of a contraction table moves level n to n + occupied, row k
+    # of the loss table moves it to n - k.  The kernel is asked for all d
+    # rows: its row 0 rounds differently when fewer are computed
+    swap_in = _contraction_diagonals(d, d, s_eff, d)[:1]
     fiber = channels.loss_kraus_operators(d, t_fiber)
-    down = -np.arange(d)   # the shifts of both, with occupied = 0
     # truncated geometric phonon distribution, renormalized to unit trace
     q = nbar / (1.0 + nbar)
     weights = q ** np.arange(d)
     weights /= weights.sum()
-    # one table per phonon level k of nonzero weight, indexed by m
+    # one vacuum-branch operator per phonon level k of nonzero weight
     levels = [k for k, p in enumerate(weights) if p > 0.0]
     swap_out = np.stack([math.sqrt(weights[k])
-                         * _contraction_diagonals(d, d, w_eff, d, k)
-                         for k in levels], axis=1)
+                         * _contraction_diagonals(d, d, w_eff, d, k)[0]
+                         for k in levels])
 
-    rho_m = state.density(d).matrix
-    pulse_branch = _apply_diagonals(
-        _apply_diagonals(rho_m, swap_in[:1], down), fiber, down)
-    pulse_traced = _apply_diagonals(
-        _apply_diagonals(rho_m, swap_in, down), fiber, down)
-    dims = fock.ModeDims((d,))
-    branch = _apply_diagonals(pulse_branch, swap_out[0], levels)
-    prob = _branch_probability(float(branch.trace().real), state.label)
-    phonon_branch = fock.FockDensityMatrix(dims, branch)
-    phonon_traced = fock.FockDensityMatrix(
-        dims, _apply_diagonals(pulse_traced, swap_out.reshape(-1, d),
-                               [k - m for m in range(d) for k in levels]))
+    rho = _apply_diagonals(state.density(d).matrix, swap_in, [0])
+    rho = _apply_diagonals(rho, fiber, -np.arange(len(fiber)))
+    rho = _apply_diagonals(rho, swap_out, levels)
+    prob = _branch_probability(float(rho.trace().real), state.label)
+    phonon_branch = fock.FockDensityMatrix(fock.ModeDims((d,)), rho)
 
     # each swap stamps -i per transferred excitation; undo both at once
     compensated = fock.apply_phase_rotation(phonon_branch, 0, math.pi)
 
     target = state.target_ket(d)
-    if target is not None:
-        f_engine = metrics.fidelity_pure_target(target, compensated)
-        f_raw = metrics.fidelity_pure_target(target, phonon_branch)
-        closed = closed_form_transfer(state, s_eff, t_fiber, w_eff, dim=d)
-        f_closed = closed.fidelity
-    else:
-        f_engine = f_raw = f_closed = None
-
+    closed = closed_form_transfer(state, s_eff, t_fiber, w_eff, dim=d)
     return TransferReport(
         state_label=state.label,
         swap_in=s_eff,
@@ -442,11 +391,11 @@ def run_transfer(scenario: ScenarioConfig,
         transmittance=t_fiber,
         truncation=d,
         phonon_state=compensated,
-        phonon_state_traced=phonon_traced,
         branch_probability=prob,
-        fidelity_engine=f_engine,
-        fidelity_engine_uncompensated=f_raw,
-        fidelity_closed_form=f_closed,
+        fidelity_engine=metrics.fidelity_pure_target(target, compensated),
+        fidelity_engine_uncompensated=metrics.fidelity_pure_target(
+            target, phonon_branch),
+        fidelity_closed_form=closed.fidelity,
         warnings=warnings,
     )
 
@@ -455,7 +404,7 @@ def run_transfer(scenario: ScenarioConfig,
 class ClosedFormTransfer:
     """Scalar-oracle output: final mechanical-mode matrix and fidelity."""
 
-    fidelity: float | None
+    fidelity: float
     matrix: np.ndarray
 
 
@@ -470,16 +419,16 @@ def closed_form_transfer(state: InitialState, swap_in: float,
         rho[v, u] = (S T W)^((v+u)/2) *
                     sum_m c[v+m, u+m] sqrt(C(v+m, m) C(u+m, m)) (S R)^m
 
-    evaluated with plain scalar arithmetic (no Fock-space operators); the
-    fidelity is the quadratic form of the initial coefficients when the
-    initial state is pure, None otherwise.  At W = 1, element [v, u] times
-    the swap-in phase (-i)^v i^u is the pulse state after the fiber.
+    with c = psi psi^* the outer product of the initial ket, evaluated with
+    plain scalar arithmetic (no Fock-space operators); the fidelity is the
+    quadratic form psi^* rho psi.  At W = 1, element [v, u] times the
+    swap-in phase (-i)^v i^u is the pulse state after the fiber.
     """
     for name, val in (("swap_in", swap_in), ("transmittance", transmittance),
                       ("swap_out", swap_out)):
         if not 0.0 <= float(val) <= 1.0:
             raise ValueError(f"{name} {val!r} outside [0, 1]")
-    c = state.coefficient_table()
+    c = np.outer(state.ket, state.ket.conj())
     n_max = c.shape[0]
     d = int(dim)
     if d < n_max:
@@ -498,13 +447,10 @@ def closed_form_transfer(state: InitialState, swap_in: float,
                 acc += cc * math.sqrt(math.comb(v + m, m) * math.comb(u + m, m)) \
                     * sr**m
             out[v, u] = acc * stw ** ((v + u) / 2.0)
-    if state.is_pure:
-        phi = np.zeros(d, dtype=complex)
-        phi[: state.ket.size] = state.ket
-        fidelity = float(np.real(phi.conj() @ out @ phi))
-    else:
-        fidelity = None
-    return ClosedFormTransfer(fidelity=fidelity, matrix=out)
+    phi = np.zeros(d, dtype=complex)
+    phi[:n_max] = state.ket
+    return ClosedFormTransfer(fidelity=float(np.real(phi.conj() @ out @ phi)),
+                              matrix=out)
 
 
 def _contraction_diagonals(d_src: int, d_tgt: int, efficiency: float,

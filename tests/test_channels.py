@@ -137,7 +137,7 @@ class TestPostLossOracle:
         np.array([0.0, 1.0]),                  # single excitation
         np.array([1.0, 1.0]) / math.sqrt(2),   # balanced superposition
         np.array([0.5, 0.5, math.sqrt(0.5)]),  # three-level pure state
-        np.diag([0.2, 0.5, 0.3]),              # mixed table
+        np.array([0.5, 0.5j, -0.5, 0.5j]),     # four levels, complex phases
     ])
     # the reference S is identified by T alone, the full swap by its name
     @pytest.mark.parametrize("eta, t", [
@@ -148,8 +148,7 @@ class TestPostLossOracle:
     ])
     def test_matches_engine_pipeline(self, coeffs, eta, t):
         d = 12
-        state = (InitialState("pure", ket=coeffs) if coeffs.ndim == 1
-                 else InitialState("mixed", table=coeffs))
+        state = InitialState("pure", ket=coeffs)
         joint = fock.tensor(state.density(d), fock.vacuum((d,)))
         joint = propagators.apply_antistokes_swap(joint, 0, 1, eta)
         branch = fock.condition_on_vacuum(joint, 0)

@@ -590,6 +590,35 @@ class TestErrorPaths:
         assert "np.float64" not in captured.err
         assert not out.exists()
 
+    # finite values whose pulse area 2 G^2 tau / kappa leaves the float
+    # range: a coupling whose square overflows (once an OverflowError
+    # traceback) under every command, a duration that overflows the area,
+    # and, under qle only, a coupling whose area underflows to 0 (once named
+    # by the library argument pulse_area); transfer reports that same input
+    # as an empty vacuum branch and entangle runs it at r = 0
+    @pytest.mark.parametrize("command, key, value", [
+        *((command, key, "1e200")
+          for key in ("magnon_pulse_coupling_over_2pi_hz",
+                      "mech_pulse_coupling_over_2pi_hz")
+          for command in ("transfer", "entangle", "qle", "validate")),
+        ("transfer", "magnon_pulse_duration_s", "1e305"),
+        ("qle", "magnon_pulse_coupling_over_2pi_hz", "1e-200"),
+    ])
+    def test_pulse_area_out_of_range_names_the_key(self, tmp_path, capsys,
+                                                   command, key, value):
+        path = write_config(tmp_path, f"{key} = {value}\n")
+        out = tmp_path / "x.csv"
+        argv = [command, path] + ([] if command == "validate"
+                                  else ["--out", str(out)])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} ")
+        assert "pulse area 2 G^2 tau / kappa" in lines[0]
+        assert lines[0].endswith(f"got {float(value):g}")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_qle_rejects_non_finite_linewidth(self, tmp_path, capsys, value):
         path = write_config(tmp_path, f"magnon_linewidth_over_2pi_hz = {value}\n")

@@ -42,6 +42,23 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match=field):
             propagators.PulseSpec(**kwargs)
 
+    # coupling**2 overflows (a tiny linewidth takes the rate past the range
+    # by division), or a finite rate times the duration does
+    @pytest.mark.parametrize("field, kwargs", [
+        ("coupling", dict(coupling=1e200)),
+        ("coupling", dict(coupling=1e6, cavity_linewidth=1e-300)),
+        ("duration", dict(duration=1e305)),
+    ])
+    def test_rejects_pulse_area_past_float_range(self, field, kwargs):
+        spec = {"coupling": TWO_PI * 10e6, "cavity_linewidth": TWO_PI * 500e6,
+                "duration": 40e-9, **kwargs}
+        with pytest.raises(fock._DomainError) as exc:
+            propagators.PulseSpec(**spec)
+        assert exc.value.field == field
+        assert exc.value.value == spec[field]
+        assert exc.value.rule == ("small enough that the pulse area "
+                                  "2 G^2 tau / kappa is finite")
+
 
 class TestClosedForms:
     def test_conversion_efficiency_values(self):

@@ -16,7 +16,6 @@ from magnomech import channels, fock, metrics, propagators, protocol
 from magnomech.protocol import InitialState, ScenarioError, TruncationLeakError
 
 TWO_PI = 2.0 * math.pi
-MIXED_TABLE = [[0.55, 0.1, 0.0], [0.1, 0.30, 0.0], [0.0, 0.0, 0.15]]
 
 
 def transfer_scenario(**kw):
@@ -52,7 +51,6 @@ class TestInitialState:
     def test_fock_family(self):
         s = InitialState.fock(3)
         assert s.label == "fock:3"
-        assert s.is_pure
         assert s.min_dim == 4
         np.testing.assert_array_equal(s.ket, [0, 0, 0, 1])
 
@@ -70,22 +68,6 @@ class TestInitialState:
         with pytest.raises(ValueError, match="normalized"):
             InitialState("x", ket=[1.0, 1.0])
 
-    def test_exactly_one_of_ket_and_table(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            InitialState("x")
-        with pytest.raises(ValueError, match="exactly one"):
-            InitialState("x", ket=[1.0], table=np.eye(1))
-
-    def test_table_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            InitialState("x", table=np.ones((2, 3)))
-        with pytest.raises(ValueError, match="Hermitian"):
-            InitialState("x", table=[[0.5, 0.5j], [0.5j, 0.5]])
-        with pytest.raises(ValueError, match="unit trace"):
-            InitialState("x", table=np.eye(2))
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            InitialState("x", table=[[1.5, 0.0], [0.0, -0.5]])
-
     def test_density_embedding(self):
         s = InitialState.superposition()
         rho = s.density(5)
@@ -98,16 +80,10 @@ class TestInitialState:
         with pytest.raises(ScenarioError, match="needs at least"):
             InitialState.fock(5).density(4)
 
-    def test_target_ket_none_for_tables(self):
-        mixed = InitialState("mixed", table=np.diag([0.5, 0.5]))
-        assert mixed.target_ket(4) is None
-        assert not mixed.is_pure
-        assert mixed.min_dim == 2
-
     def test_coefficient_table_is_outer_product(self):
-        s = InitialState.superposition()
-        np.testing.assert_allclose(s.coefficient_table(),
-                                   0.5 * np.ones((2, 2)))
+        s = InitialState("probe", ket=[0.6, 0.8j])
+        np.testing.assert_array_equal(s.density(2).matrix,
+                                      np.outer(s.ket, s.ket.conj()))
 
 
 class TestScenarioConfig:
@@ -188,19 +164,6 @@ class TestRunTransfer:
         np.testing.assert_allclose(rep.phonon_state.matrix, closed.matrix,
                                    atol=1e-12)
 
-    def test_engine_matches_closed_form_for_mixed_table(self):
-        state = InitialState("table", table=MIXED_TABLE)
-        sc = transfer_scenario(initial_states=(state,))
-        rep = protocol.run_transfer(sc)
-        assert rep.fidelity_engine is None
-        assert rep.fidelity_closed_form is None
-        assert rep.fidelity_gap is None
-        closed = protocol.closed_form_transfer(
-            state, rep.swap_in, rep.transmittance,
-            rep.swap_out, dim=sc.truncation)
-        np.testing.assert_allclose(rep.phonon_state.matrix, closed.matrix,
-                                   atol=1e-12)
-
     def test_phase_compensation_only_moves_coherences(self):
         fock1 = protocol.run_transfer(
             transfer_scenario(initial_states=(InitialState.fock(1),)))
@@ -210,9 +173,8 @@ class TestRunTransfer:
             transfer_scenario(initial_states=(InitialState.superposition(),)))
         assert sup.fidelity_engine_uncompensated < sup.fidelity_engine
 
-    def test_traced_state_keeps_unit_trace(self):
+    def test_branch_trace_is_branch_probability(self):
         rep = protocol.run_transfer(transfer_scenario())
-        assert rep.phonon_state_traced.trace() == pytest.approx(1.0, abs=1e-12)
         assert rep.phonon_state.trace() == pytest.approx(
             rep.branch_probability, rel=1e-12)
 
@@ -237,7 +199,6 @@ class TestRunTransfer:
         InitialState.fock(2),
         InitialState.superposition(),
         InitialState("zero-two", ket=[0.6, 0.0, 0.8j]),
-        InitialState("table", table=MIXED_TABLE),
     ], ids=lambda s: s.label)
     @pytest.mark.parametrize("d", [3, 12])
     @pytest.mark.parametrize("nbar", [0.0, 0.2])
@@ -249,7 +210,7 @@ class TestRunTransfer:
                               initial_states=(state,)),
             phonon_thermal_occupation=nbar)
         rep = protocol.run_transfer(sc)
-        # reference: tensor, swap, condition or trace, on the pair space
+        # reference: tensor, swap and condition, on the pair space
         q = nbar / (1.0 + nbar)
         p = (1.0 - q) * q ** np.arange(d)
         phonon = fock.FockDensityMatrix((d,), np.diag(p / p.sum()))
@@ -260,18 +221,12 @@ class TestRunTransfer:
 
         stage = swap(state.density(d), fock.vacuum((d,)),
                      rep.swap_in)
-        pulses = [channels.apply_loss(pulse, 0, rep.transmittance)
-                  for pulse in (fock.condition_on_vacuum(stage, 0),
-                                fock.partial_trace(stage, 0))]
-        branch = fock.condition_on_vacuum(
-            swap(pulses[0], phonon, rep.swap_out), 0)
-        traced = fock.partial_trace(
-            swap(pulses[1], phonon, rep.swap_out), 0)
+        pulse = channels.apply_loss(fock.condition_on_vacuum(stage, 0), 0,
+                                    rep.transmittance)
+        branch = fock.condition_on_vacuum(swap(pulse, phonon, rep.swap_out), 0)
         branch = fock.apply_phase_rotation(branch, 0, math.pi)
         np.testing.assert_allclose(rep.phonon_state.matrix, branch.matrix,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rep.phonon_state_traced.matrix,
-                                   traced.matrix, rtol=0, atol=1e-12)
 
     def test_builds_no_two_mode_state(self, monkeypatch):
         sizes = []
@@ -282,7 +237,7 @@ class TestRunTransfer:
             sizes.append(self.dims.size)
 
         monkeypatch.setattr(fock.FockDensityMatrix, "__init__", recorded)
-        state = InitialState("table", table=MIXED_TABLE)
+        state = InitialState("zero-two", ket=[0.6, 0.0, 0.8j])
         sc = dataclasses.replace(
             transfer_scenario(fiber_length_km=10.0, initial_states=(state,)),
             phonon_thermal_occupation=0.2)
@@ -307,7 +262,8 @@ class TestClosedFormTransfer:
     def test_lossless_full_swaps_are_identity(self):
         state = InitialState("probe", ket=[0.6, 0.8j])
         out = protocol.closed_form_transfer(state, 1.0, 1.0, 1.0, dim=2)
-        np.testing.assert_allclose(out.matrix, state.coefficient_table(),
+        np.testing.assert_allclose(out.matrix,
+                                   np.outer(state.ket, state.ket.conj()),
                                    atol=1e-15)
         assert out.fidelity == pytest.approx(1.0)
 
@@ -595,8 +551,7 @@ class TestEntanglementCurves:
 def engine_fields():
     """Every engine-route number of the transfer and entanglement runs."""
     ground = transfer_scenario(initial_states=(
-        InitialState.fock(1), InitialState.superposition(),
-        InitialState("mixed", table=MIXED_TABLE)))
+        InitialState.fock(1), InitialState.superposition()))
     thermal = dataclasses.replace(transfer_scenario(
         truncation=24, initial_states=(
             InitialState.fock(1), InitialState.superposition(),
@@ -606,8 +561,7 @@ def engine_fields():
         for state in sc.initial_states:
             rep = protocol.run_transfer(sc, state)
             fields[f"transfer,{name},{state.label}"] = (
-                rep.phonon_state.matrix, rep.phonon_state_traced.matrix,
-                rep.fidelity_engine)
+                rep.phonon_state.matrix, rep.fidelity_engine)
     lossless = protocol.default_entanglement_scenario()
     lossy = dataclasses.replace(
         lossless, include_loss_in_entanglement=True,
