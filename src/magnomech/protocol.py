@@ -129,21 +129,21 @@ class InitialState:
     """Initial magnon state: a normalized number-basis coefficient vector.
 
     The families cover Fock states and two-level superpositions; any other
-    pure state is its ``ket``.  ``label`` names the state in reports and
-    CSV.
+    pure state is its ``ket``, kept up to its last nonzero amplitude.
+    ``label`` names the state in reports and CSV.
     """
 
     __slots__ = ("label", "ket")
 
     def __init__(self, label: str, ket):
         self.label = str(label)
-        k = np.asarray(ket, dtype=complex).reshape(-1).copy()
+        k = np.asarray(ket, dtype=complex).reshape(-1)
         if k.size < 1:
             raise ValueError("empty coefficient vector")
         nrm = float(np.linalg.norm(k))
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError(f"coefficients not normalized (norm {nrm!r})")
-        self.ket = k
+        self.ket = k[:np.flatnonzero(k)[-1] + 1].copy()
         self.ket.flags.writeable = False
 
     @classmethod
@@ -163,9 +163,7 @@ class InitialState:
 
     @property
     def min_dim(self) -> int:
-        nz = np.nonzero(np.abs(self.ket) > 0.0)[0]
-        top = int(nz[-1]) if nz.size else 0
-        return max(2, top + 1)
+        return max(2, self.ket.size)
 
     def density(self, dim: int) -> fock.FockDensityMatrix:
         """Embed |ket><ket| into a dim-level single-mode density matrix."""
@@ -181,8 +179,7 @@ class InitialState:
 
     def target_ket(self, dim: int) -> fock.FockKet:
         """The ket padded to dim levels, the target for fidelity."""
-        amps = np.zeros(int(dim), dtype=complex)
-        amps[: self.ket.size] = self.ket
+        amps = np.pad(self.ket, (0, int(dim) - self.ket.size))
         return fock.FockKet(fock.ModeDims((int(dim),)), amps)
 
 
@@ -334,16 +331,14 @@ def run_transfer(scenario: ScenarioConfig,
 
     The carried state is single-mode at every stage, so each stage is a
     Kraus channel on a d x d matrix, applied from the one shifted diagonal
-    of each operator.  Both swaps use the contraction <m, .| U_bs |., k>
-    of the beamsplitter with the source left holding m excitations and
-    the target starting in |k>: the swap in starts from an empty pulse,
-    the swap out from the phonon's thermal levels k, weighted by
-    sqrt(p_k).  The fiber is its loss channel.  Only m = 0 is kept after
-    each swap, which conditions the magnon and then the pulse mode on
-    vacuum, so ``phonon_state`` is the subnormalized branch the closed
-    forms describe.  Fidelities are reported against the initial ket
-    with the deterministic two-swap phase compensated, plus the raw
-    uncompensated value.
+    of each operator.  Both swaps compute only row m = 0 of the
+    beamsplitter contraction <m, .| U_bs |., k>, which conditions the
+    source (the magnon, then the pulse) on vacuum: the swap in starts from
+    an empty pulse, the swap out from the phonon's thermal levels k,
+    weighted by sqrt(p_k).  The fiber is its loss channel.  So
+    ``phonon_state`` is the subnormalized branch the closed forms
+    describe.  Fidelities are reported against the initial ket with the
+    deterministic two-swap phase compensated, plus the raw value.
     """
     if state is None:
         state = scenario.initial_states[0]
@@ -359,9 +354,8 @@ def run_transfer(scenario: ScenarioConfig,
             "phonon starts thermal; closed-form fidelity assumes ground state",)
 
     # row 0 of a contraction table moves level n to n + occupied, row k
-    # of the loss table moves it to n - k.  The kernel is asked for all d
-    # rows: its row 0 rounds differently when fewer are computed
-    swap_in = _contraction_diagonals(d, d, s_eff, d)[:1]
+    # of the loss table moves it to n - k
+    swap_in = _contraction_diagonals(d, s_eff, 1)
     fiber = channels.loss_kraus_operators(d, t_fiber)
     # truncated geometric phonon distribution, renormalized to unit trace
     q = nbar / (1.0 + nbar)
@@ -370,7 +364,7 @@ def run_transfer(scenario: ScenarioConfig,
     # one vacuum-branch operator per phonon level k of nonzero weight
     levels = [k for k, p in enumerate(weights) if p > 0.0]
     swap_out = np.stack([math.sqrt(weights[k])
-                         * _contraction_diagonals(d, d, w_eff, d, k)[0]
+                         * _contraction_diagonals(d, w_eff, 1, k)[0]
                          for k in levels])
 
     rho = _apply_diagonals(state.density(d).matrix, swap_in, [0])
@@ -453,29 +447,35 @@ def closed_form_transfer(state: InitialState, swap_in: float,
                               matrix=out)
 
 
-def _contraction_diagonals(d_src: int, d_tgt: int, efficiency: float,
-                           rows: int, occupied: int = 0) -> np.ndarray:
+def _contraction_diagonals(d: int, efficiency: float, rows: int,
+                           occupied: int = 0) -> np.ndarray:
     """kappa[m, n] = <m, n + occupied - m| U_bs |n, occupied> for every m < rows.
 
-    Row m is the one nonzero diagonal of the partial swap src -> tgt that
-    leaves m photons in the source while the target starts in |occupied>;
-    it is zero where n + occupied - m falls outside the target.  The
-    beamsplitter conserves the total photon number, so every element for
-    input n lies in the sector n + occupied of the cached eigensystem and
-    comes from one matvec of its first rows of V e^{-i theta w} V^T with
-    the column of |n, occupied>.  Only rows 0 .. rows - 1 are computed.
+    Row m is the one nonzero diagonal of the partial swap between two d-level
+    modes that leaves m photons in the source while the target starts in
+    |occupied>; it is zero where n + occupied - m falls outside the target.
+    Input n lies in the sector n + occupied of the cached eigensystem: row 0
+    is its own one-row product of V e^{-i theta w} V^T with the column of
+    |n, occupied>, the same bits whatever ``rows`` is, and rows 1 .. rows - 1
+    (only ``_entangle``'s full table asks for them) one block product.  At
+    zero efficiency the swap is the identity, whose rows are returned exactly.
     """
     theta = math.asin(math.sqrt(float(efficiency)))
-    sectors = fock.pair_generator_eigensystem(int(d_src), int(d_tgt),
-                                              "beamsplitter")
-    kappa = np.zeros((rows, d_src), dtype=complex)
-    for n in range(d_src):
+    if theta == 0.0:
+        return np.eye(rows, d, dtype=complex)
+    sectors = fock.pair_generator_eigensystem(d, d, "beamsplitter")
+    kappa = np.zeros((rows, d), dtype=complex)
+    for n in range(d):
         idx, w, v = sectors[n + occupied]  # the sector n_src + n_tgt
-        lo = int(idx[0]) // d_tgt          # its smallest source occupation
+        lo = int(idx[0]) // d              # its smallest source occupation
         if lo >= rows:
             break                          # lo never falls as n grows
-        col = np.dot(v[:rows - lo], np.exp(-1j * theta * w) * v[n - lo])
-        kappa[lo:lo + col.size, n] = col
+        col = np.exp(-1j * theta * w) * v[n - lo]
+        if rows > 1:
+            block = np.dot(v[:rows - lo], col)
+            kappa[lo:lo + block.size, n] = block
+        if lo == 0:
+            kappa[:1, n] = np.dot(v[:1], col)
     return kappa
 
 
@@ -582,7 +582,7 @@ def _entangle(c: np.ndarray, efficiency: float, transmittance: float, *,
     """
     d = c.size
     loss = channels.loss_kraus_operators(d, transmittance)
-    kappa = _contraction_diagonals(d, d, efficiency, d if traced else 1)
+    kappa = _contraction_diagonals(d, efficiency, d if traced else 1)
     en_traced = metrics.log_negativity_sectors(
         _sector_stack(c, loss, kappa)) if traced else None
     if len(loss) == 1:

@@ -1,8 +1,9 @@
-"""Golden CLI outputs: the CSV contract held to 12 digits as a test.
+"""Golden CLI outputs: the CSV contract held byte for byte as a test.
 
-Each run's header and text cells must match its recorded file exactly and
-every numeric cell to 1e-12 absolute.  The ``#`` manifest lines are left
-out: they carry the config and output paths of the recording run.
+Every cell of each run, header and numbers alike, must match its recorded
+file as text, so no cell can move unseen however small it is.  The ``#``
+manifest lines are left out: they carry the config and output paths of
+the recording run.
 
 Regenerate after an intended output change with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and list the changed
@@ -17,7 +18,6 @@ from magnomech import cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 CONFIGS = pathlib.Path(__file__).parents[1] / "configs"
-ABS_TOL = 1e-12
 
 # configs written at run time, for runs no shipped config covers
 EXTRA_CONFIGS = {
@@ -57,13 +57,6 @@ def run_body(name, workdir):
             if not ln.startswith("#")]
 
 
-def _number(cell):
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8").splitlines()
@@ -71,15 +64,7 @@ def test_matches_golden(name, tmp_path):
     assert got[0] == expected[0], "header changed"
     assert len(got) == len(expected), "row count changed"
     for row, (line, ref) in enumerate(zip(got[1:], expected[1:]), start=1):
-        cells, ref_cells = line.split(","), ref.split(",")
-        assert len(cells) == len(ref_cells), f"row {row}: column count changed"
-        for col, (cell, ref_cell) in enumerate(zip(cells, ref_cells)):
-            want = _number(ref_cell)
-            if want is None:
-                assert cell == ref_cell, f"row {row}, column {col}"
-            else:
-                assert _number(cell) == pytest.approx(want, rel=0.0, abs=ABS_TOL), \
-                    f"row {row}, column {col}: {cell} vs golden {ref_cell}"
+        assert line == ref, f"row {row}: {line} vs golden {ref}"
 
 
 if __name__ == "__main__":

@@ -80,6 +80,21 @@ class TestInitialState:
         with pytest.raises(ScenarioError, match="needs at least"):
             InitialState.fock(5).density(4)
 
+    def test_trailing_zeros_fit_min_dim(self):
+        s = InitialState("x", ket=[1, 0, 0, 0, 0])
+        assert s.min_dim == 2
+        np.testing.assert_array_equal(s.ket, [1])
+        vac = InitialState.fock(0)
+        np.testing.assert_array_equal(s.density(3).matrix,
+                                      vac.density(3).matrix)
+        np.testing.assert_array_equal(s.target_ket(3).amplitudes,
+                                      vac.target_ket(3).amplitudes)
+        closed = protocol.closed_form_transfer(s, 0.5, 0.5, 0.5, dim=3)
+        assert closed.fidelity == 1.0
+        scenario = dataclasses.replace(transfer_scenario(truncation=3),
+                                       initial_states=(s,))
+        assert protocol.run_transfer(scenario).fidelity_engine == 1.0
+
     def test_coefficient_table_is_outer_product(self):
         s = InitialState("probe", ket=[0.6, 0.8j])
         np.testing.assert_array_equal(s.density(2).matrix,
@@ -293,8 +308,8 @@ class TestSwapVacuumContraction:
         for k in (0, 2) for m in (0, 1, 5)])
     def test_matches_dense_beamsplitter(self, efficiency, residual, occupied):
         d = 6
-        kappa = protocol._contraction_diagonals(d, d, efficiency,
-                                                residual + 1, occupied)
+        kappa = protocol._contraction_diagonals(d, efficiency, residual + 1,
+                                                occupied)
         u = fock.two_mode_unitary(d, d, "beamsplitter",
                                   math.asin(math.sqrt(efficiency)))
         # <residual, M| U |n, occupied>, nonzero only where
@@ -312,27 +327,43 @@ class TestSwapVacuumContraction:
 
     @pytest.mark.parametrize("efficiency", [0.0, 0.37, 1.0])
     @pytest.mark.parametrize("occupied", [0, 2])
-    @pytest.mark.parametrize("d_src, d_tgt", [(6, 6), (3, 7), (7, 3)])
-    def test_diagonals_match_dense_beamsplitter(self, d_src, d_tgt,
-                                                efficiency, occupied):
-        kappa = protocol._contraction_diagonals(d_src, d_tgt, efficiency,
-                                                d_src, occupied)
-        u = fock.two_mode_unitary(d_src, d_tgt, "beamsplitter",
+    # both modes hold d levels; the id keeps its source-target form
+    @pytest.mark.parametrize("d", [pytest.param(6, id="6-6")])
+    def test_diagonals_match_dense_beamsplitter(self, d, efficiency, occupied):
+        kappa = protocol._contraction_diagonals(d, efficiency, d, occupied)
+        u = fock.two_mode_unitary(d, d, "beamsplitter",
                                   math.asin(math.sqrt(efficiency)))
-        assert kappa.shape == (d_src, d_src)
-        for m in range(d_src):
-            for n in range(d_src):
+        assert kappa.shape == (d, d)
+        for m in range(d):
+            for n in range(d):
                 out = n + occupied - m
                 # kappa[m, n] = <m, n + occupied - m| U |n, occupied>
-                expect = u[m * d_tgt + out, n * d_tgt + occupied] \
-                    if 0 <= out < d_tgt else 0.0
+                expect = u[m * d + out, n * d + occupied] \
+                    if 0 <= out < d else 0.0
                 assert abs(kappa[m, n] - expect) <= 1e-13, (m, n)
+
+    @pytest.mark.parametrize("occupied", [0, 3])
+    @pytest.mark.parametrize("efficiency", [0.0, 1e-30, 0.18, 0.37, 0.93, 1.0])
+    @pytest.mark.parametrize("d", [12, 24, 30])
+    def test_row_zero_does_not_depend_on_rows(self, d, efficiency, occupied):
+        one = protocol._contraction_diagonals(d, efficiency, 1, occupied)
+        full = protocol._contraction_diagonals(d, efficiency, d, occupied)
+        assert one.shape == (1, d)
+        np.testing.assert_array_equal(one[0], full[0])
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_zero_efficiency_is_the_identity(self, rows):
+        # theta = 0: U_bs is the identity, so kappa[m, n] = delta_mn exactly
+        for occupied in (0, 2):
+            np.testing.assert_array_equal(
+                protocol._contraction_diagonals(7, 0.0, rows, occupied),
+                np.eye(rows, 7))
 
     def test_diagonals_compute_only_the_rows_asked_for(self, monkeypatch):
         d = 7
-        full = protocol._contraction_diagonals(d, d, 0.37, d)
+        full = protocol._contraction_diagonals(d, 0.37, d)
         dot = np.dot
-        matvec_rows = []   # rows of V taken by each sector's matvec
+        matvec_rows = []   # rows of V taken by each product
 
         def counted(a, b):
             matvec_rows.append(a.shape[0])
@@ -341,11 +372,13 @@ class TestSwapVacuumContraction:
         monkeypatch.setattr(np, "dot", counted)
         for rows in (1, 3, d):
             matvec_rows.clear()
-            kappa = protocol._contraction_diagonals(d, d, 0.37, rows)
+            kappa = protocol._contraction_diagonals(d, 0.37, rows)
             np.testing.assert_allclose(kappa, full[:rows], rtol=0, atol=1e-15)
-            # one matvec per input n, one row per element m < rows, n >= m
-            assert len(matvec_rows) == d
-            assert sum(matvec_rows) == sum(d - m for m in range(rows))
+            # per input n: one one-row product for row 0 and, when more
+            # rows are asked for, one block product with a row per m < rows
+            # (n >= m)
+            blocks = [min(rows, n + 1) for n in range(d)] if rows > 1 else []
+            assert sorted(matvec_rows) == sorted([1] * d + blocks)
 
 
 class TestApplyDiagonals:
