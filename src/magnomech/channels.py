@@ -57,9 +57,7 @@ def loss_kraus_operators(dim: int, transmittance: float) -> np.ndarray:
     table is a_k; at unit transmittance only A_0 = 1 survives and the
     table has one row.
     """
-    t = float(transmittance)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmittance {t!r} outside [0, 1]")
+    t = fock._require("transmittance", transmittance, closed=True, hi=1.0)
     r = 1.0 - t
     table = np.zeros((1 if r == 0.0 else dim, dim))
     for k in range(table.shape[0]):
@@ -74,14 +72,11 @@ def apply_loss(rho: fock.FockDensityMatrix, mode: int, transmittance: float,
     if method not in LOSS_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {LOSS_METHODS}")
     dims = rho.dims
-    if not 0 <= mode < dims.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    t = float(transmittance)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmittance {t!r} outside [0, 1]")
+    mode = fock._mode(dims, mode)
+    t = fock._require("transmittance", transmittance, closed=True, hi=1.0)
+    d = dims.dims[mode]
 
     if method == "ancilla":
-        d = dims.dims[mode]
         joint = fock.tensor(rho, fock.vacuum(fock.ModeDims((d,))))
         ancilla = joint.dims.n_modes - 1
         theta = float(np.arcsin(np.sqrt(1.0 - t)))
@@ -89,7 +84,6 @@ def apply_loss(rho: fock.FockDensityMatrix, mode: int, transmittance: float,
                                                 "beamsplitter", theta)
         return fock.partial_trace(joint, ancilla)
 
-    d = dims.dims[mode]
     out = np.zeros_like(rho.matrix)
     for k, row in enumerate(loss_kraus_operators(d, t)):
         a = np.diag(row[k:], k)   # A_k placed on its diagonal: A_k[n - k, n]

@@ -15,18 +15,18 @@ length and losses and thermal occupation may be 0, and the drive detuning
 need only be finite; each pulse's area 2 G^2 tau / kappa must be finite
 (and, for ``qle``, > 0).  Every command with a config checks every scenario
 key; ``qle`` reads the magnonic pulse and the magnon linewidth (0 unless
-set: its closed forms assume lossless matter).  Every CSV starts
-with ``#`` manifest lines (tool version, command, config path and hash,
-output path, warnings), then a header line, then data rows with 12
-significant digits and LF line endings.  Identical config and version give
-byte-identical output; there is deliberately no seed flag, nothing here is
-stochastic.
+set: its closed forms assume lossless matter).  One writer, ``_write``,
+makes every CSV, to stdout or ``--out`` alike: ``#`` manifest lines (tool
+version, command, config path and hash, output path, warnings, ``qle``'s
+note), a header line, then data rows with 12 significant digits and LF
+line endings.  Identical config and version give byte-identical output;
+there is deliberately no seed flag, nothing here is stochastic.
 
 Exit codes: 0 success, 2 config or validation error (a ``qle`` run whose
-moments blow up or turn unphysical included), 3 numerical truncation
-budget exceeded.  A rejected value is named by its config key, as
-configured: ``error: mech_pulse_coupling_over_2pi_hz must be finite and
-> 0, got 0``.
+moments blow up or turn unphysical included, and a state token whose
+amplitudes are NaN, named by its token), 3 numerical truncation budget
+exceeded.  A rejected value is named by its config key, as configured:
+``error: mech_pulse_coupling_over_2pi_hz must be finite and > 0, got 0``.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def parse_state_token(token: str) -> protocol.InitialState:
         except ValueError as exc:
             raise ConfigError(f"bad state token {tok!r}") from exc
         norm = math.hypot(c0, c1)
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:   # NaN fails it too
             raise ConfigError(
                 f"state token {tok!r} not normalized (norm {norm:.8f})")
         return protocol.InitialState(tok, ket=[c0 / norm, c1 / norm])
@@ -229,86 +229,69 @@ def _fmt(x) -> str:
     return "%.12g" % float(x)
 
 
-def _manifest(command: str, config_path: str | None, config_hash: str | None,
-              out_path: str | None, warnings=()) -> list[str]:
+def _write(args, digest: str | None, header: str, rows, warnings=(),
+           notes=()) -> None:
+    """The one CSV writer: manifest, ``# warning:`` and ``# note:`` lines,
+    header, then one line per row of cells, a str cell as given and any
+    other at 12 significant digits; to ``args.out``, else stdout."""
+    config = getattr(args, "config", None)   # fig5 takes no config
     lines = [
         f"# tool: magnomech {__version__}",
-        f"# command: {command}",
-        f"# config: {config_path if config_path else '-'}",
-        f"# config_sha256: {config_hash if config_hash else '-'}",
-        f"# output: {out_path if out_path else '-'}",
+        f"# command: {args.command}",
+        f"# config: {config or '-'}",
+        f"# config_sha256: {digest or '-'}",
+        f"# output: {args.out or '-'}",
+        *(f"# warning: {w}" for w in warnings),
+        *(f"# note: {n}" for n in notes),
+        header,
+        *(",".join(c if isinstance(c, str) else _fmt(c) for c in row)
+          for row in rows),
     ]
-    lines.extend(f"# warning: {w}" for w in warnings)
-    return lines
-
-
-def _emit(lines: list[str], out_path: str | None) -> None:
     data = ("\n".join(lines) + "\n").encode("utf-8")
-    if out_path:
-        with open(out_path, "wb") as fh:  # binary keeps LF endings everywhere
+    if args.out:
+        with open(args.out, "wb") as fh:  # binary keeps LF endings everywhere
             fh.write(data)
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
 
 
-def cmd_transfer(args) -> int:
+def _cmd_transfer(args) -> int:
     cfg, digest = read_config(args.config)
     scenario = build_scenario(cfg, truncation=args.truncation)
-    warnings: tuple[str, ...] = ()
-    rows = []
-    for state in scenario.initial_states:
-        report = protocol.run_transfer(scenario, state)
-        warnings = report.warnings
-        rows.append(",".join([
-            state.label,
-            _fmt(report.swap_in),
-            _fmt(report.swap_out),
-            _fmt(report.transmittance),
-            _fmt(report.fidelity_engine),
-            _fmt(report.fidelity_closed_form),
-            _fmt(report.fidelity_gap),
-        ]))
-    lines = _manifest("transfer", args.config, digest, args.out, warnings)
-    lines.append("state,S,W,T,F_engine,F_closed,abs_diff")
-    lines.extend(rows)
-    _emit(lines, args.out)
+    reports = [protocol.run_transfer(scenario, state)
+               for state in scenario.initial_states]
+    _write(args, digest, "state,S,W,T,F_engine,F_closed,abs_diff",
+           [(rep.state_label, rep.swap_in, rep.swap_out, rep.transmittance,
+             rep.fidelity_engine, rep.fidelity_closed_form, rep.fidelity_gap)
+            for rep in reports],
+           warnings=reports[-1].warnings)
     return 0
 
 
-def cmd_entangle(args) -> int:
+def _cmd_entangle(args) -> int:
     cfg, digest = read_config(args.config)
     scenario = build_scenario(cfg, entangling=True, truncation=args.truncation)
-    report = protocol.run_entanglement(scenario)
-    lines = _manifest("entangle", args.config, digest, args.out, report.warnings)
-    lines.append("r,W,EN_closed,EN_fock,truncation,leak")
-    lines.append(",".join([
-        _fmt(report.squeezing),
-        _fmt(report.efficiency),
-        _fmt(report.en_closed.value),
-        _fmt(report.en_fock.value),
-        str(report.truncation),
-        _fmt(report.leak),
-    ]))
-    _emit(lines, args.out)
+    rep = protocol.run_entanglement(scenario)
+    _write(args, digest, "r,W,EN_closed,EN_fock,truncation,leak",
+           [(rep.squeezing, rep.efficiency, rep.en_closed.value,
+             rep.en_fock.value, str(rep.truncation), rep.leak)],
+           warnings=rep.warnings)
     return 0
 
 
-def cmd_fig5(args) -> int:
+def _cmd_fig5(args) -> int:
     truncation = args.truncation if args.truncation is not None \
         else protocol.DEFAULT_SQUEEZE_TRUNCATION
     points = protocol.entanglement_curves(FIG5_SQUEEZINGS, FIG5_EFFICIENCIES,
                                           truncation=truncation)
-    lines = _manifest("fig5", None, None, args.out)
-    lines.append("r,W,EN_closed,EN_fock")
-    for p in points:
-        lines.append(",".join([_fmt(p.squeezing), _fmt(p.efficiency),
-                               _fmt(p.en_closed), _fmt(p.en_fock)]))
-    _emit(lines, args.out)
+    _write(args, None, "r,W,EN_closed,EN_fock",
+           [(p.squeezing, p.efficiency, p.en_closed, p.en_fock)
+            for p in points])
     return 0
 
 
-def cmd_validate(args) -> int:
+def _cmd_validate(args) -> int:
     cfg, _ = read_config(args.config)
     scenario = build_scenario(cfg)
     checks = protocol.validate_scenario(scenario)
@@ -325,7 +308,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_qle(args) -> int:
+def _cmd_qle(args) -> int:
     cfg, digest = read_config(args.config)
     process = cfg.get("qle_process", "antistokes")
     if process not in QLE_PROCESSES:
@@ -354,21 +337,14 @@ def cmd_qle(args) -> int:
         raise _config_error(exc, "qle_coupling_ratios") from exc
     except RuntimeError as exc:
         raise ConfigError(f"qle process {process}: {exc}") from exc
-    lines = _manifest("qle", args.config, digest, args.out)
-    lines.append(f"# note: process {process}, pulse area {_fmt(pulse.pulse_area)}")
-    lines.append("G_over_kappa,eta_integrated,eta_closed,rel_err")
-    for row in rows:
-        lines.append(",".join([
-            _fmt(row.coupling_ratio),
-            _fmt(row.value_integrated),
-            _fmt(row.value_closed_form),
-            _fmt(row.rel_error),
-        ]))
-    _emit(lines, args.out)
+    _write(args, digest, "G_over_kappa,eta_integrated,eta_closed,rel_err",
+           [(row.coupling_ratio, row.value_integrated, row.value_closed_form,
+             row.rel_error) for row in rows],
+           notes=[f"process {process}, pulse area {_fmt(pulse.pulse_area)}"])
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magnomech",
         description="Pulsed magnon-phonon network pipelines, CSV in, CSV out.")
@@ -390,19 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("transfer", cmd_transfer, "magnon to phonon state transfer")
-    add("entangle", cmd_entangle, "magnon-phonon entanglement distribution")
-    add("fig5", cmd_fig5, "E_N sweep over squeezing and conversion efficiency",
+    add("transfer", _cmd_transfer, "magnon to phonon state transfer")
+    add("entangle", _cmd_entangle, "magnon-phonon entanglement distribution")
+    add("fig5", _cmd_fig5, "E_N sweep over squeezing and conversion efficiency",
         config=False)
-    add("validate", cmd_validate, "physical-regime checks of a scenario",
+    add("validate", _cmd_validate, "physical-regime checks of a scenario",
         out=False, truncation=False)
-    add("qle", cmd_qle, "moment-equation check of the adiabatic closed forms",
+    add("qle", _cmd_qle, "moment-equation check of the adiabatic closed forms",
         truncation=False)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

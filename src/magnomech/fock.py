@@ -15,13 +15,15 @@ which it is tridiagonal.  The per-sector eigensystems are cached per
 sector and never form a d_a d_b x d_a d_b matrix on a ket.  An undersized
 basis shows as weight on the top shell, not as lost trace; each pipeline
 measures it on its own state (see :mod:`magnomech.protocol`).  Every
-module imports this one, so it holds the one domain check, :func:`_require`.
+module imports this one, so it holds the one domain check, :func:`_require`
+(a [0, 1] argument included), and the one mode-index check, :func:`_mode`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,13 +45,15 @@ class _DomainError(ValueError):
 
 
 def _require(field: str, value, lo: float = 0.0, *,
-             closed: bool = False) -> float:
-    """float(value) if lo < value < inf (lo <= value when ``closed``), else
-    :class:`_DomainError` naming ``field``.  NaN fails every comparison, so
-    it fails this one; lo = -inf asks for a finite value only."""
+             closed: bool = False, hi: float = math.inf) -> float:
+    """float(value) if lo < value < inf (lo <= value when ``closed``) and
+    value <= hi, else :class:`_DomainError` naming ``field``.  NaN fails
+    every comparison, so it fails this one; lo = -inf asks for a finite
+    value only, ``closed=True, hi=1.0`` for one in [0, 1]."""
     v = float(value)
-    if not (lo <= v < math.inf if closed else lo < v < math.inf):
-        rule = "finite" if lo == -math.inf \
+    if not ((lo <= v if closed else lo < v) and v <= hi and v < math.inf):
+        rule = f"in {'[' if closed else '('}{lo:g}, {hi:g}]" if hi < math.inf \
+            else "finite" if lo == -math.inf \
             else f"finite and {'>=' if closed else '>'} {lo:g}"
         raise _DomainError(field, v, rule)
     return v
@@ -61,6 +65,14 @@ def _require_fields(spec, *names: str, lo: float = 0.0,
     for name in names:
         object.__setattr__(spec, name, _require(name, getattr(spec, name), lo,
                                                 closed=closed))
+
+
+def _mode(dims: "ModeDims", mode) -> int:
+    """An integer ``mode`` that indexes ``dims``, else TypeError or ValueError."""
+    m = operator.index(mode)
+    if not 0 <= m < dims.n_modes:
+        raise ValueError(f"mode {mode} out of range")
+    return m
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,7 @@ class ModeDims:
     def drop(self, mode: int) -> "ModeDims":
         if self.n_modes < 2:
             raise ValueError("cannot drop the only mode")
+        mode = _mode(self, mode)
         return ModeDims(self.dims[:mode] + self.dims[mode + 1:])
 
 
@@ -125,7 +138,7 @@ class FockKet:
                 f"joint dimension {dims.size}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > KET_NORM_TOL:
+        if not abs(norm - 1.0) <= KET_NORM_TOL:   # NaN fails it too
             raise ValueError(f"ket norm {norm!r} deviates from 1 beyond {KET_NORM_TOL}")
         self.dims = dims
         self.amplitudes = _freeze(amps)
@@ -204,14 +217,9 @@ def tensor(a: FockDensityMatrix, b: FockDensityMatrix) -> FockDensityMatrix:
 def partial_trace(rho: FockDensityMatrix, mode: int) -> FockDensityMatrix:
     """Trace out one mode; remaining modes keep their relative order."""
     dims = rho.dims
-    if dims.n_modes < 2:
-        raise ValueError("partial trace needs at least two modes")
-    if not 0 <= mode < dims.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    nm = dims.n_modes
-    t = rho.matrix.reshape(dims.dims + dims.dims)
-    t = np.trace(t, axis1=mode, axis2=nm + mode)
     new_dims = dims.drop(mode)
+    t = rho.matrix.reshape(dims.dims + dims.dims)
+    t = np.trace(t, axis1=mode, axis2=dims.n_modes + mode)
     return FockDensityMatrix(new_dims, t.reshape(new_dims.size, new_dims.size))
 
 
@@ -223,14 +231,9 @@ def condition_on_vacuum(rho: FockDensityMatrix, mode: int) -> FockDensityMatrix:
     probability vanishes (no branch to return).
     """
     dims = rho.dims
-    if dims.n_modes < 2:
-        raise ValueError("conditioning needs at least two modes")
-    if not 0 <= mode < dims.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    nm = dims.n_modes
-    t = rho.matrix.reshape(dims.dims + dims.dims)
-    t = np.take(np.take(t, 0, axis=nm + mode), 0, axis=mode)
     new_dims = dims.drop(mode)
+    t = rho.matrix.reshape(dims.dims + dims.dims)
+    t = np.take(np.take(t, 0, axis=dims.n_modes + mode), 0, axis=mode)
     block = t.reshape(new_dims.size, new_dims.size)
     if float(block.trace().real) <= 0.0:
         raise ValueError("vacuum branch has zero probability")
@@ -242,13 +245,9 @@ def partial_transpose(rho: FockDensityMatrix, modes) -> np.ndarray:
     dims = rho.dims
     if dims.n_modes < 2:
         raise ValueError("partial transpose needs at least two modes")
-    if isinstance(modes, (int, np.integer)):
-        modes = (int(modes),)
-    modes = tuple(sorted(set(int(k) for k in modes)))
+    modes = sorted({_mode(dims, k) for k in np.atleast_1d(modes)})
     if not modes:
         raise ValueError("no modes given")
-    if any(not 0 <= k < dims.n_modes for k in modes):
-        raise ValueError(f"modes {modes} out of range")
     nm = dims.n_modes
     t = rho.matrix.reshape(dims.dims + dims.dims)
     order = list(range(2 * nm))
@@ -297,8 +296,6 @@ def pair_generator_eigensystem(da: int, db: int, kind: str):
 
 def two_mode_unitary(da: int, db: int, kind: str, angle: float) -> np.ndarray:
     """exp(-i * angle * K) on the pair space, K the Hermitian pair generator."""
-    if kind not in GENERATOR_KINDS:
-        raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
     angle = _require("angle", angle, -math.inf)
     u = np.zeros((da * db, da * db), dtype=complex)
     for idx, w, v in pair_generator_eigensystem(int(da), int(db), kind):
@@ -336,18 +333,12 @@ def apply_two_mode_exponential(state, mode_a: int, mode_b: int, kind: str,
     Returns the same type as the input.
     """
     dims = state.dims
-    mode_a, mode_b = int(mode_a), int(mode_b)
+    mode_a, mode_b = _mode(dims, mode_a), _mode(dims, mode_b)
     if mode_a == mode_b:
         raise ValueError("the two modes must be distinct")
-    for k in (mode_a, mode_b):
-        if not 0 <= k < dims.n_modes:
-            raise ValueError(f"mode {k} out of range")
     if isinstance(state, FockKet):
         # kets never need the dense pair unitary: apply V e^{-i angle w} V^T
         # one conserved sector at a time, from the cached sector eigensystems
-        if kind not in GENERATOR_KINDS:
-            raise ValueError(
-                f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
         angle = _require("angle", angle, -math.inf)
         pair = dims.dims[mode_a] * dims.dims[mode_b]
         t = state.amplitudes.reshape(dims.dims)
@@ -368,9 +359,7 @@ def apply_two_mode_exponential(state, mode_a: int, mode_b: int, kind: str,
 def apply_phase_rotation(state, mode: int, angle: float):
     """Single-mode phase rotation exp(i*angle*n) on kets or density matrices."""
     dims = state.dims
-    if not 0 <= mode < dims.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    occ = np.indices(dims.dims)[mode].reshape(-1)
+    occ = np.indices(dims.dims)[_mode(dims, mode)].reshape(-1)
     ph = np.exp(1j * float(angle) * occ)
     if isinstance(state, FockKet):
         return FockKet(dims, state.amplitudes * ph)

@@ -64,19 +64,14 @@ def _real_if_close(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _trace_norm(h: np.ndarray) -> float:
-    """Sum of |eigenvalues| of a Hermitian matrix."""
-    return float(np.abs(np.linalg.eigvalsh(h)).sum())
-
-
 def log_negativity_fock(rho: fock.FockDensityMatrix) -> LogNegativity:
     """E_N from the trace norm of the partial transpose on mode 1, clamped at 0.
 
     The spectrum comes from one dense eigvalsh of the whole partial
     transpose, whatever the state's structure.
     """
-    trace_norm = _trace_norm(_real_if_close(fock.partial_transpose(rho, 1)))
-    return LogNegativity(value=max(0.0, float(np.log(trace_norm))),
+    lam = np.linalg.eigvalsh(_real_if_close(fock.partial_transpose(rho, 1)))
+    return LogNegativity(value=max(0.0, float(np.log(np.abs(lam).sum()))),
                          method="fock_ppt")
 
 
@@ -90,22 +85,26 @@ def log_negativity_sectors(stack: np.ndarray) -> LogNegativity:
     the total number N: its element between |a, N - a> and |a', N - a'>
     is the sector D = a + a' - N element of rho between |a, a - D> and
     |a', a' - D>.  One reality test on the whole stack picks the real or
-    the complex solver; the trace norm is summed over the 2d - 1 blocks
-    of at most d, so the value equals :func:`log_negativity_fock` of the
-    assembled state.
+    the complex solver.  E_N = ln(sum |lambda| / sum lambda) over the
+    eigenvalues of the 2d - 1 blocks of at most d is the E_N of
+    rho / tr rho: a subnormalized state needs no rescaling, one with no
+    negative lambda reads exactly 0, and at unit trace the value equals
+    :func:`log_negativity_fock` of the assembled state.
     """
     d = stack.shape[-1]
     if stack.shape != (d + 1, d, d):
         raise ValueError(f"sector stack has shape {stack.shape}, "
                          f"expected {(d + 1, d, d)}")
     stack = _real_if_close(stack)
-    trace_norm = 0.0
+    trace_norm = trace = 0.0
     for total in range(2 * d - 1):
         a = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
         sectors = a[:, None] + a[None, :] - total
         sectors[sectors < 0] = d
-        trace_norm += _trace_norm(stack[sectors, a[:, None], a[None, :]])
-    return LogNegativity(value=max(0.0, float(np.log(trace_norm))),
+        lam = np.linalg.eigvalsh(stack[sectors, a[:, None], a[None, :]])
+        trace_norm += float(np.abs(lam).sum())
+        trace += float(lam.sum())
+    return LogNegativity(value=max(0.0, float(np.log(trace_norm / trace))),
                          method="fock_ppt")
 
 
@@ -131,9 +130,7 @@ def effective_squeezing(squeezing: float, efficiency: float) -> float:
     matching closed-form log negativity of the swapped pair is 2 * r'.
     """
     r = fock._require("squeezing", squeezing, closed=True)
-    eta = float(efficiency)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency {eta!r} outside [0, 1]")
+    eta = fock._require("efficiency", efficiency, closed=True, hi=1.0)
     return float(np.arctanh(np.sqrt(eta) * np.tanh(r)))
 
 
@@ -194,7 +191,7 @@ def log_negativity_gaussian(cm: np.ndarray) -> LogNegativity:
     if cm.shape[0] < 4:
         raise ValueError(f"need at least two modes, got {cm.shape[0] // 2}")
     asym = float(np.max(np.abs(cm - cm.T)))
-    if asym > 1e-10:
+    if not asym <= 1e-10:   # NaN fails it too
         raise ValueError(f"covariance matrix asymmetric by {asym:.3e}")
     w = _uncertainty_violation(cm)
     if w is not None:

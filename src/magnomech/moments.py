@@ -69,8 +69,10 @@ class CovarianceState:
         cm = np.asarray(cm, dtype=float).copy()
         if cm.shape != (mean.size, mean.size) or mean.size % 2:
             raise ValueError("covariance shape must match an even-length mean")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError(f"mean must be finite, got {mean}")
         asym = float(np.max(np.abs(cm - cm.T)))
-        if asym > 1e-10:
+        if not asym <= 1e-10:   # NaN fails it too
             raise ValueError(f"covariance asymmetric by {asym:.3e}")
         cm = 0.5 * (cm + cm.T)
         if check:

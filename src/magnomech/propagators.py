@@ -83,9 +83,7 @@ def apply_antistokes_swap(state, source_mode: int, field_mode: int,
     Works on FockKet or FockDensityMatrix.  efficiency must lie in [0, 1];
     at 1 the swap is complete (up to the -i-per-excitation phase).
     """
-    eta = float(efficiency)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency {eta!r} outside [0, 1]")
+    eta = fock._require("efficiency", efficiency, closed=True, hi=1.0)
     theta = float(np.arcsin(np.sqrt(eta)))
     return fock.apply_two_mode_exponential(
         state, source_mode, field_mode, "beamsplitter", theta)

@@ -141,7 +141,7 @@ class InitialState:
         if k.size < 1:
             raise ValueError("empty coefficient vector")
         nrm = float(np.linalg.norm(k))
-        if abs(nrm - 1.0) > 1e-9:
+        if not abs(nrm - 1.0) <= 1e-9:   # NaN fails it too
             raise ValueError(f"coefficients not normalized (norm {nrm!r})")
         self.ket = k[:np.flatnonzero(k)[-1] + 1].copy()
         self.ket.flags.writeable = False
@@ -418,16 +418,15 @@ def closed_form_transfer(state: InitialState, swap_in: float,
     quadratic form psi^* rho psi.  At W = 1, element [v, u] times the
     swap-in phase (-i)^v i^u is the pulse state after the fiber.
     """
-    for name, val in (("swap_in", swap_in), ("transmittance", transmittance),
-                      ("swap_out", swap_out)):
-        if not 0.0 <= float(val) <= 1.0:
-            raise ValueError(f"{name} {val!r} outside [0, 1]")
+    s_eff, t, w_eff = (fock._require(name, val, closed=True, hi=1.0)
+                       for name, val in (("swap_in", swap_in),
+                                         ("transmittance", transmittance),
+                                         ("swap_out", swap_out)))
     c = np.outer(state.ket, state.ket.conj())
     n_max = c.shape[0]
     d = int(dim)
     if d < n_max:
         raise ValueError(f"dim {d} smaller than coefficient table {n_max}")
-    s_eff, t, w_eff = float(swap_in), float(transmittance), float(swap_out)
     sr = s_eff * (1.0 - t)
     stw = s_eff * t * w_eff
     out = np.zeros((d, d), dtype=complex)
@@ -573,12 +572,12 @@ def _entangle(c: np.ndarray, efficiency: float, transmittance: float, *,
     Both are read as their one nonzero diagonal: the loss table and the
     contraction-diagonal kernel, called once.  Each (Kraus, m) pair gives
     one [magnon, phonon] ket, a column of B; the vacuum branch (m = 0) is
-    renormalized.  A single-column branch is pure, the diagonal ket c_i
-    a_0(i) kappa_0(i) on |i, i>, and takes the Schmidt route.  Otherwise the
-    state B B^H is built straight into its stack of n_magnon - n_phonon
-    sector blocks and measured by the total-number blocks of its partial
-    transpose.  With ``traced`` the unconditioned state, summed over every
-    m, is measured too (else ``en_traced`` is None).
+    measured renormalized.  A single-column branch is pure, the diagonal
+    ket c_i a_0(i) kappa_0(i) on |i, i>, and takes the Schmidt route.
+    Otherwise B B^H is built, unscaled, into its n_magnon - n_phonon sector
+    blocks, whose partial transpose reads the E_N of B B^H / tr (B B^H).
+    With ``traced`` the unconditioned state, summed over every m, is
+    measured too (else ``en_traced`` is None).
     """
     d = c.size
     loss = channels.loss_kraus_operators(d, transmittance)
@@ -596,7 +595,6 @@ def _entangle(c: np.ndarray, efficiency: float, transmittance: float, *,
         stack = _sector_stack(c, loss, kappa[:1])
         prob = _branch_probability(float(np.einsum("Dii->", stack).real),
                                    "the squeezed pair")
-        stack /= prob
         en_fock = metrics.log_negativity_sectors(stack)
     return _Entangled(prob, en_fock, en_traced)
 

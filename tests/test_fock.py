@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from magnomech import fock
+from magnomech import channels, fock, metrics, propagators, protocol
 
 
 def rand_density(rng, dims):
@@ -54,6 +54,8 @@ class TestFockKet:
             fock.FockKet((2,), [1.0, 1.0])
         with pytest.raises(ValueError):
             fock.FockKet((2,), [0.0, 0.0])
+        with pytest.raises(ValueError, match="norm nan"):
+            fock.FockKet((2,), [math.nan, 0.0])
 
     def test_amplitudes_frozen(self):
         k = fock.number_ket((3,), (1,))
@@ -323,3 +325,65 @@ class TestPhaseRotation:
         np.testing.assert_allclose(out.amplitudes, [0.6, 0.0, 0.8], atol=1e-12)
         out1 = fock.apply_phase_rotation(fock.number_ket(dims, (1,)), 0, math.pi)
         assert out1.amplitudes[1] == pytest.approx(-1.0, abs=1e-14)
+
+
+# every [0, 1] argument of the library, as (field, call with that argument)
+_PAIR = fock.number_ket((3, 3), (1, 0))
+_STATE = protocol.InitialState.fock(1)
+UNIT_ARGUMENTS = {
+    "closed_form_transfer.swap_in": ("swap_in", lambda x: (
+        protocol.closed_form_transfer(_STATE, x, 1.0, 1.0, dim=3))),
+    "closed_form_transfer.transmittance": ("transmittance", lambda x: (
+        protocol.closed_form_transfer(_STATE, 1.0, x, 1.0, dim=3))),
+    "closed_form_transfer.swap_out": ("swap_out", lambda x: (
+        protocol.closed_form_transfer(_STATE, 1.0, 1.0, x, dim=3))),
+    "loss_kraus_operators": ("transmittance", lambda x: (
+        channels.loss_kraus_operators(3, x))),
+    "apply_loss": ("transmittance", lambda x: (
+        channels.apply_loss(_PAIR.density_matrix(), 0, x))),
+    "apply_antistokes_swap": ("efficiency", lambda x: (
+        propagators.apply_antistokes_swap(_PAIR, 0, 1, x))),
+    "effective_squeezing": ("efficiency", lambda x: (
+        metrics.effective_squeezing(0.5, x))),
+}
+# every function that takes a mode index, called with that index
+MODE_ARGUMENTS = {
+    "ModeDims.drop": lambda m: _PAIR.dims.drop(m),
+    "partial_trace": lambda m: fock.partial_trace(_PAIR.density_matrix(), m),
+    "condition_on_vacuum": lambda m: fock.condition_on_vacuum(
+        _PAIR.density_matrix(), m),
+    "partial_transpose": lambda m: fock.partial_transpose(
+        _PAIR.density_matrix(), m),
+    "apply_two_mode_exponential.ket": lambda m: (
+        fock.apply_two_mode_exponential(_PAIR, m, 0, "beamsplitter", 0.1)),
+    "apply_two_mode_exponential.matrix": lambda m: (
+        fock.apply_two_mode_exponential(_PAIR.density_matrix(), 0, m,
+                                        "beamsplitter", 0.1)),
+    "apply_phase_rotation": lambda m: fock.apply_phase_rotation(_PAIR, m, 0.1),
+    "channels.apply_loss": lambda m: channels.apply_loss(
+        _PAIR.density_matrix(), m, 0.5),
+}
+
+
+class TestBoundaryChecks:
+    """Each rule has one owner: ``fock._require`` for a [0, 1] argument,
+    ``fock._mode`` for a mode index, whichever module takes it."""
+
+    @pytest.mark.parametrize("site", sorted(UNIT_ARGUMENTS))
+    def test_unit_interval_argument(self, site):
+        field, call = UNIT_ARGUMENTS[site]
+        for good in (0.0, 1.0):
+            call(good)
+        for bad in (-0.1, 1.1, math.nan):
+            with pytest.raises(fock._DomainError) as exc:
+                call(bad)
+            assert exc.value.field == field
+            assert str(exc.value) == f"{field} must be in [0, 1], got {bad!r}"
+
+    @pytest.mark.parametrize("site", sorted(MODE_ARGUMENTS))
+    def test_mode_index(self, site):
+        for bad in (-1, _PAIR.dims.n_modes):
+            with pytest.raises(ValueError, match=f"mode {bad} out of range"):
+                MODE_ARGUMENTS[site](bad)
+        with pytest.raises(TypeError):   # never rounded to a mode
+            MODE_ARGUMENTS[site](0.5)

@@ -1,9 +1,9 @@
 """Golden CLI outputs: the CSV contract held byte for byte as a test.
 
-Every cell of each run, header and numbers alike, must match its recorded
-file as text, so no cell can move unseen however small it is.  The ``#``
-manifest lines are left out: they carry the config and output paths of
-the recording run.
+Every line of each run, manifest, header and numbers alike, must match
+its recorded file as text, so no cell can move unseen however small it
+is.  Only the ``# config:`` and ``# output:`` manifest lines are left
+out: they carry the paths of the recording run.
 
 Regenerate after an intended output change with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and list the changed
@@ -41,8 +41,12 @@ RUNS = {
 }
 
 
+# manifest lines that hold paths of the run, not its content
+PATH_LINES = ("# config:", "# output:")
+
+
 def run_body(name, workdir):
-    """The non-manifest lines of one CLI run, written under ``workdir``."""
+    """The lines of one CLI run but its path lines, written under ``workdir``."""
     command, config = RUNS[name]
     argv = [command]
     if config in EXTRA_CONFIGS:
@@ -54,17 +58,16 @@ def run_body(name, workdir):
     out = workdir / f"{name}.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0
     return [ln for ln in out.read_text(encoding="utf-8").splitlines()
-            if not ln.startswith("#")]
+            if not ln.startswith(PATH_LINES)]
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8").splitlines()
     got = run_body(name, tmp_path)
-    assert got[0] == expected[0], "header changed"
-    assert len(got) == len(expected), "row count changed"
-    for row, (line, ref) in enumerate(zip(got[1:], expected[1:]), start=1):
-        assert line == ref, f"row {row}: {line} vs golden {ref}"
+    assert len(got) == len(expected), "line count changed"
+    for row, (line, ref) in enumerate(zip(got, expected)):
+        assert line == ref, f"line {row}: {line} vs golden {ref}"
 
 
 if __name__ == "__main__":

@@ -320,6 +320,9 @@ class TestGaussianNegativity:
         cm[0, 1] = 1e-6
         with pytest.raises(ValueError, match="asymmetric"):
             metrics.log_negativity_gaussian(cm)
+        cm[0, 1] = cm[1, 0] = np.nan
+        with pytest.raises(ValueError, match="asymmetric by nan"):
+            metrics.log_negativity_gaussian(cm)
 
     def test_rejects_unphysical(self):
         with pytest.raises(ValueError, match="unphysical"):

@@ -139,6 +139,16 @@ class TestCovarianceState:
         with pytest.raises(ValueError, match="unphysical"):
             moments.CovarianceState(np.zeros(2), 0.1 * np.eye(2))
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_non_finite_rejected(self, check):
+        # a ValueError, not numpy's LinAlgError from the uncertainty test
+        cm = np.eye(2)
+        cm[0, 0] = math.nan
+        with pytest.raises(ValueError, match="asymmetric by nan"):
+            moments.CovarianceState(np.zeros(2), cm, check=check)
+        with pytest.raises(ValueError, match="mean must be finite"):
+            moments.CovarianceState([math.inf, 0.0], np.eye(2), check=check)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             moments.CovarianceState(np.zeros(3), np.eye(3))

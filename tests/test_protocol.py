@@ -67,6 +67,8 @@ class TestInitialState:
     def test_pure_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             InitialState("x", ket=[1.0, 1.0])
+        with pytest.raises(ValueError, match="normalized"):
+            InitialState("x", ket=[math.nan, 0.0])
 
     def test_density_embedding(self):
         s = InitialState.superposition()

@@ -21,9 +21,7 @@ SURFACE = {
     "cli": {
         "CONFIG_KEYS", "ConfigError", "DEFAULT_QLE_RATIOS",
         "FIG5_EFFICIENCIES", "FIG5_SQUEEZINGS", "QLE_PROCESSES",
-        "build_parser", "build_scenario", "cmd_entangle", "cmd_fig5",
-        "cmd_qle", "cmd_transfer", "cmd_validate", "main",
-        "parse_state_token", "read_config",
+        "build_scenario", "main", "parse_state_token", "read_config",
     },
     "fock": {
         "FockDensityMatrix", "FockKet", "GENERATOR_KINDS", "HERMITICITY_TOL",
