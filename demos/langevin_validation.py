@@ -13,16 +13,16 @@ constant too, so it and its RWA are both propagated exactly.
 
 import math
 
-from magnomech import moments
+from magnomech import moments, propagators
 
 TWO_PI = 2.0 * math.pi
 KAPPA = TWO_PI * 500e6
 
 
-def sweep(process, area, label):
-    rows = moments.validate_adiabatic(KAPPA, area, (0.005, 0.01, 0.02, 0.05, 0.1),
+def sweep(process, pulse, label):
+    rows = moments.validate_adiabatic(pulse, (0.005, 0.01, 0.02, 0.05, 0.1),
                                       process=process)
-    print(f"{label} (pulse area {area:.6f}):")
+    print(f"{label} (pulse area {pulse.pulse_area:.6f}):")
     print("  G/kappa   integrated     closed form    rel err")
     for row in rows:
         print(f"  {row.coupling_ratio:7.3f}   {row.value_integrated:.9f}  "
@@ -30,14 +30,16 @@ def sweep(process, area, label):
 
 
 def main():
-    area_transfer = 2.0 * (TWO_PI * 10e6) ** 2 * 40e-9 / KAPPA
-    area_write = 2.0 * (TWO_PI * 10e6) ** 2 * 30e-9 / KAPPA
+    # the reference transfer (40 ns) and writing (30 ns) magnon pulses; the
+    # closed forms are the S and sinh^2 r the Fock engine reads from them
+    transfer = propagators.PulseSpec(TWO_PI * 10e6, KAPPA, 40e-9)
+    write = propagators.PulseSpec(TWO_PI * 10e6, KAPPA, 30e-9)
 
-    sweep("antistokes", area_transfer,
-          "anti-Stokes conversion efficiency 1 - exp(-2 area)")
+    sweep("antistokes", transfer,
+          "anti-Stokes conversion efficiency S = 1 - exp(-2 area)")
     print()
-    sweep("stokes", area_write,
-          "Stokes occupation growth exp(2 area) - 1")
+    sweep("stokes", write,
+          "Stokes occupation growth sinh^2 r = exp(2 area) - 1")
     print()
     print("the error scales like (G/kappa)^2: the cavity needs about")
     print("kappa^-1 to load, and at fixed area a stronger coupling means a")

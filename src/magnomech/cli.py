@@ -12,21 +12,23 @@ Configs are flat ``key = value`` text files; frequency-like keys end in
 ``_over_2pi_hz`` and are multiplied by 2*pi internally.  Physical values
 must be finite and > 0; the magnon linewidth, mechanical damping, fiber
 length and losses and thermal occupation may be 0, and the drive detuning
-need only be finite; each pulse's area 2 G^2 tau / kappa must be finite
-(and, for ``qle``, > 0).  Every command with a config checks every scenario
-key; ``qle`` reads the magnonic pulse and the magnon linewidth (0 unless
-set: its closed forms assume lossless matter).  One writer, ``_write``,
-makes every CSV, to stdout or ``--out`` alike: ``#`` manifest lines (tool
-version, command, config path and hash, output path, warnings, ``qle``'s
-note), a header line, then data rows with 12 significant digits and LF
-line endings.  Identical config and version give byte-identical output;
-there is deliberately no seed flag, nothing here is stochastic.
+need only be finite; each pulse's area 2 G^2 tau / kappa must be finite.
+Every command with a config checks every scenario key; ``qle`` reads the
+magnonic pulse and the magnon linewidth (0 unless set: its closed forms
+assume lossless matter).  One writer, ``_write``, makes every CSV, to
+stdout or ``--out`` alike: ``#`` manifest lines (tool version, command,
+config path and hash, output path, warnings, ``qle``'s note), a header
+line, then data rows with 12 significant digits and LF line endings.
+Identical config and version give byte-identical output; there is
+deliberately no seed flag, nothing here is stochastic.
 
 Exit codes: 0 success, 2 config or validation error (a ``qle`` run whose
 moments blow up or turn unphysical included, and a state token whose
 amplitudes are NaN, named by its token), 3 numerical truncation budget
 exceeded.  A rejected value is named by its config key, as configured:
-``error: mech_pulse_coupling_over_2pi_hz must be finite and > 0, got 0``.
+``error: mech_pulse_coupling_over_2pi_hz must be finite and > 0, got 0``
+(a magnonic pulse area outside the map its command reads, by the coupling
+key; a ``qle`` rung with no finite duration, by ``qle_coupling_ratios``).
 """
 
 from __future__ import annotations
@@ -193,6 +195,12 @@ def _config_error(exc: fock._DomainError, key: str) -> ConfigError:
     return ConfigError(f"{key} must be {exc.rule}, got {_fmt(value)}")
 
 
+def _area_error(exc: fock._DomainError, pulse) -> ConfigError:
+    """The magnon ``pulse``'s area out of ``exc.rule``, by the coupling key."""
+    return _config_error(fock._DomainError("coupling", pulse.coupling, exc.rule),
+                         _PART_KEYS["magnon_pulse"]["coupling"])
+
+
 def build_scenario(cfg: dict, *, entangling: bool = False,
                    truncation: int | None = None) -> protocol.ScenarioConfig:
     """Scenario from config values over the reference operating point;
@@ -272,7 +280,12 @@ def _cmd_transfer(args) -> int:
 def _cmd_entangle(args) -> int:
     cfg, digest = read_config(args.config)
     scenario = build_scenario(cfg, entangling=True, truncation=args.truncation)
-    rep = protocol.run_entanglement(scenario)
+    try:
+        rep = protocol.run_entanglement(scenario)
+    except fock._DomainError as exc:
+        if exc.field != "pulse_area":
+            raise
+        raise _area_error(exc, scenario.magnon_pulse) from exc
     _write(args, digest, "r,W,EN_closed,EN_fock,truncation,leak",
            [(rep.squeezing, rep.efficiency, rep.en_closed.value,
              rep.en_fock.value, str(rep.truncation), rep.leak)],
@@ -316,24 +329,16 @@ def _cmd_qle(args) -> int:
                           f"got {process!r}")
     scenario = build_scenario(cfg, entangling=process == "stokes")
     pulse = scenario.magnon_pulse
-    # the closed forms need a pulse: an area that underflowed to 0 (G^2
-    # below the float range) is named by the coupling key
-    if not pulse.pulse_area > 0.0:
-        raise ConfigError(
-            f"{_PART_KEYS['magnon_pulse']['coupling']} must be large enough "
-            f"that the pulse area 2 G^2 tau / kappa is > 0, "
-            f"got {_fmt(pulse.coupling / protocol.TWO_PI)}")
     # the closed forms assume lossless matter, the default here
     linewidth = scenario.magnonic.magnon_linewidth \
         if "magnon_linewidth_over_2pi_hz" in cfg else 0.0
     try:
         rows = moments.validate_adiabatic(
-            pulse.cavity_linewidth, pulse.pulse_area,
-            cfg.get("qle_coupling_ratios", DEFAULT_QLE_RATIOS),
+            pulse, cfg.get("qle_coupling_ratios", DEFAULT_QLE_RATIOS),
             process=process, matter_linewidth=linewidth)
     except fock._DomainError as exc:
-        if exc.field != "coupling_ratios":
-            raise
+        if exc.field == "pulse_area":   # else a rung's "coupling_ratios"
+            raise _area_error(exc, pulse) from exc
         raise _config_error(exc, "qle_coupling_ratios") from exc
     except RuntimeError as exc:
         raise ConfigError(f"qle process {process}: {exc}") from exc

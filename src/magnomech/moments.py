@@ -1,9 +1,10 @@
 """First-principles moment integration of the pulse quantum Langevin equations.
 
-The adiabatic closed forms used by the propagators (conversion efficiency,
-squeezing parameter) are validated here by integrating the full linear
-cavity-matter dynamics without eliminating the cavity.  States are Gaussian
-with zero or small means, so first and second moments suffice:
+The pulse map the Fock engine reads (:mod:`magnomech.propagators`' S and
+r) is validated here by integrating the full linear cavity-matter dynamics
+without eliminating the cavity; every rate 2 G^2 / kappa comes from its
+``PulseSpec``, so the map checked is the engine's, not a copy.  States
+are Gaussian with zero or small means, so first and second moments suffice:
 
     d mean / dt = A(t) mean
     d V / dt    = A(t) V + V A(t)^T + D(t)
@@ -28,20 +29,17 @@ correlated with the cavity input, which shows up as off-diagonal diffusion.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fock, metrics
+from . import fock, metrics, propagators
 
-DRIFT_KINDS = (
-    "magnonic_antistokes",
-    "magnonic_stokes",
-    "optomech_red_rwa",
-    "optomech_full",
-)
+DRIFT_KINDS = ("magnonic_antistokes", "magnonic_stokes", "optomech_red_rwa",
+               "optomech_full")
 
 # resolve the fastest rate in the drift: dt <= DT_SAFETY / max rate
 DT_SAFETY = 0.05
@@ -106,10 +104,7 @@ class CovarianceState:
 
     def block(self, modes: Sequence[int]) -> "CovarianceState":
         """Reduced state of the listed modes (order preserved)."""
-        idx = []
-        for k in modes:
-            idx.extend((2 * k, 2 * k + 1))
-        idx = np.asarray(idx)
+        idx = np.asarray([q for k in modes for q in (2 * k, 2 * k + 1)])
         return CovarianceState(self.mean[idx], self.cm[np.ix_(idx, idx)],
                                check=False)
 
@@ -309,50 +304,51 @@ class AdiabaticRow:
     rel_error: float
 
 
-def validate_adiabatic(cavity_linewidth: float, pulse_area: float,
+def validate_adiabatic(pulse: propagators.PulseSpec,
                        coupling_ratios: Sequence[float], *,
                        process: str = "antistokes",
                        matter_linewidth: float = 0.0) -> list[AdiabaticRow]:
-    """Integrated-vs-closed-form comparison at fixed pulse area.
+    """The moment route against the engine's pulse map, at fixed area.
 
-    For each G/kappa, the pulse duration is chosen to keep
-    2 G^2 tau / kappa equal to ``pulse_area``, and the full two-mode QLE,
-    whose drift is constant, is propagated exactly by
-    :func:`propagate_static`.  process="antistokes" compares the
-    conversion efficiency 1 - n(tau) of one magnon against
-    1 - exp(-2 area); process="stokes" compares the matter occupation grown
-    from vacuum against exp(2 area) - 1.  The relative error measures the
-    quality of adiabatic cavity elimination and grows with G/kappa.
+    The closed form is ``pulse``'s S or sinh^2 r from :mod:`propagators`
+    (process "antistokes" or "stokes").  Each rung is ``pulse`` at
+    G = ratio * kappa with the duration that keeps its area, propagated
+    exactly and read as 1 - n(tau) of one magnon or n(tau) grown from
+    vacuum; the relative error measures adiabatic cavity elimination.  A
+    closed form of 0 or past the float range fails under ``pulse_area``, a
+    rung with no finite duration > 0 under ``coupling_ratios``.
     """
     if process not in ("antistokes", "stokes"):
         raise ValueError("process must be 'antistokes' or 'stokes'")
-    pulse_area = fock._require("pulse_area", pulse_area)
-    kappa = float(cavity_linewidth)
+    antistokes = process == "antistokes"
+    area, kappa = pulse.pulse_area, pulse.cavity_linewidth
+    try:
+        closed = propagators.conversion_efficiency(pulse) if antistokes \
+            else math.sinh(propagators.squeezing_parameter(pulse)) ** 2
+    except OverflowError:
+        raise fock._DomainError("pulse_area", area, "small enough that "
+                                "sinh^2 r is finite") from None
+    if not closed > 0.0:
+        raise fock._DomainError("pulse_area", area, "large enough that " + (
+            "cosh r = exp(area) is > 1" if area
+            else "the pulse area 2 G^2 tau / kappa is > 0"))
+    init = CovarianceState.thermal([0.0, float(antistokes)])   # 1 magnon or 0
     rows = []
     for ratio in coupling_ratios:
         ratio = fock._require("coupling_ratios", ratio)
-        g = ratio * kappa
-        gscript = 2.0 * g**2 / kappa
-        tau = pulse_area / gscript
-        kind = "magnonic_antistokes" if process == "antistokes" else "magnonic_stokes"
-        dd = build_drift(kind, cavity_linewidth=kappa, coupling=g,
-                         matter_linewidth=matter_linewidth)
-        if process == "antistokes":
-            init = CovarianceState.thermal([0.0, 1.0])
-            final = propagate_static(init, dd, tau)
-            integrated = 1.0 - final.occupation(1)
-            closed = float(-np.expm1(-2.0 * pulse_area))
-        else:
-            init = CovarianceState.vacuum(2)
-            final = propagate_static(init, dd, tau)
-            integrated = final.occupation(1)
-            closed = float(np.expm1(2.0 * pulse_area))
-        rows.append(AdiabaticRow(
-            coupling_ratio=ratio,
-            value_integrated=float(integrated),
-            value_closed_form=closed,
-            rel_error=float(abs(integrated - closed) / abs(closed)),
-        ))
+        try:   # the rate reads 0 once G^2 underflows
+            rung = dataclasses.replace(pulse, coupling=ratio * kappa)
+            rung = dataclasses.replace(rung, duration=area / rung.adiabatic_rate)
+        except (fock._DomainError, ZeroDivisionError) as exc:
+            raise fock._DomainError("coupling_ratios", ratio, "such that G = "
+                                    "ratio * kappa keeps the area in a finite "
+                                    "duration > 0") from exc
+        dd = build_drift("magnonic_" + process, cavity_linewidth=kappa,
+                         coupling=rung.coupling, matter_linewidth=matter_linewidth)
+        occupation = propagate_static(init, dd, rung.duration).occupation(1)
+        integrated = 1.0 - occupation if antistokes else occupation
+        rows.append(AdiabaticRow(ratio, integrated, closed,
+                                 abs(integrated - closed) / closed))
     return rows
 
 
@@ -385,10 +381,8 @@ def compare_optomech_rwa(*, cavity_linewidth: float, mech_damping: float,
                           mech_freq=mech_freq, detuning=mech_freq)
     occ_rwa = propagate_static(init, dd_rwa, duration).occupation(1)
     occ_full = propagate_static(init, dd_full, duration).occupation(1)
-    denom = max(abs(occ_rwa), 1e-30)
-    return RwaComparison(occupation_full=float(occ_full),
-                         occupation_rwa=float(occ_rwa),
-                         rel_difference=float(abs(occ_full - occ_rwa) / denom))
+    return RwaComparison(occ_full, occ_rwa,
+                         abs(occ_full - occ_rwa) / max(abs(occ_rwa), 1e-30))
 
 
 def stokes_capture_drift(cavity_linewidth: float, coupling: float,
@@ -398,42 +392,40 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
 
     Modes are (cavity, magnon, capture).  The capture variable accumulates
     f(t) * a_out(t) with f(t) = N exp(G t) the growing output profile of
-    the pulse, G = 2 g^2 / kappa and N = sqrt(2 G / (exp(2 G tau) - 1))
-    normalizing it on [0, tau] (Kiilerich & Molmer, PRL 123, 123604
-    (2019)).  Its commutator builds up to the canonical value only at
-    t = tau; the in-pulse covariance is therefore not a mode covariance
-    and uncertainty checks must be deferred to the end of the pulse.  The
-    filter noise is anti-correlated with the cavity input noise
-    (input-output relation a_out = sqrt(kappa) a - a_in), giving
-    time-dependent off-diagonal diffusion.
+    the pulse, G the rate of the arguments' checked ``PulseSpec`` and
+    N = sqrt(2 G / (exp(2 G tau) - 1)) normalizing it on [0, tau]
+    (Kiilerich & Molmer, PRL 123, 123604 (2019)); exp(2 G tau) - 1 fails
+    by that name when it reads 0 or overflows.  Its commutator builds up to
+    the canonical value only at t = tau; the in-pulse covariance is
+    therefore not a mode covariance and uncertainty checks must be deferred
+    to the end of the pulse.  The filter noise is anti-correlated with the
+    cavity input noise (input-output relation a_out = sqrt(kappa) a - a_in),
+    giving time-dependent off-diagonal diffusion.
     """
-    kappa = fock._require("cavity_linewidth", cavity_linewidth)
-    g = fock._require("coupling", coupling)
-    duration = fock._require("duration", duration)
-    gscript = 2.0 * g**2 / kappa
-    # zero once 2 G tau underflows: the profile then has no norm
-    growth = fock._require("exp(2 G tau) - 1",
-                           math.exp(2.0 * gscript * duration) - 1.0)
+    pulse = propagators.PulseSpec(coupling, cavity_linewidth, duration)
+    kappa, gscript = pulse.cavity_linewidth, pulse.adiabatic_rate
+    try:   # no norm once 2 G tau underflows, nor once exp(2 G tau) overflows
+        growth = math.exp(2.0 * gscript * pulse.duration) - 1.0
+    except OverflowError:
+        growth = math.inf
+    growth = fock._require("exp(2 G tau) - 1", growth)
     norm = math.sqrt(2.0 * gscript / growth)
     sq = math.sqrt(kappa)
 
-    base = build_drift("magnonic_stokes", cavity_linewidth=kappa, coupling=g,
-                       matter_linewidth=matter_linewidth)
-    a22 = base.drift
-    d22 = base.diffusion
+    base = build_drift("magnonic_stokes", cavity_linewidth=kappa,
+                       coupling=pulse.coupling, matter_linewidth=matter_linewidth)
 
     def drift(t: float) -> np.ndarray:
         f = float(norm * np.exp(gscript * t))
         a = np.zeros((6, 6))
-        a[:4, :4] = a22
-        a[4, 0] = f * sq   # dF_x/dt += f sqrt(kappa) x_c
-        a[5, 1] = f * sq
+        a[:4, :4] = base.drift
+        a[4, 0] = a[5, 1] = f * sq   # dF/dt += f sqrt(kappa) (x_c, p_c)
         return a
 
     def diffusion(t: float) -> np.ndarray:
         f = float(norm * np.exp(gscript * t))
         d = np.zeros((6, 6))
-        d[:4, :4] = d22
+        d[:4, :4] = base.diffusion
         d[4, 4] = d[5, 5] = f * f
         d[0, 4] = d[4, 0] = -sq * f
         d[1, 5] = d[5, 1] = -sq * f

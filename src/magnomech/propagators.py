@@ -2,15 +2,13 @@
 
 A drive pulse of duration tau on a cavity of linewidth kappa with effective
 coupling G acts, after adiabatic elimination of the fast cavity, through the
-single rate
-
-    gscript = 2 * G**2 / kappa          (adiabatic conversion rate)
-
-The anti-Stokes (beamsplitter) pulse converts a magnon into the output
-temporal mode with efficiency eta = 1 - exp(-2 * gscript * tau); the Stokes
-(parametric) pulse two-mode squeezes magnon and output mode with
-cosh(r) = exp(gscript * tau).  On the truncated Fock space both are realized
-as exact two-mode exponentials, see :mod:`magnomech.fock`.
+single rate gscript = 2 G^2 / kappa, held once by :class:`PulseSpec`.  The
+anti-Stokes (beamsplitter) pulse converts a magnon into the output temporal
+mode with efficiency 1 - exp(-2 gscript tau); the Stokes (parametric) pulse
+two-mode squeezes magnon and output mode with cosh r = exp(gscript tau).
+The Fock engine (exact two-mode exponentials, see :mod:`magnomech.fock`),
+the closed forms and the moment route that checks them
+(:func:`magnomech.moments.validate_adiabatic`) all read these two maps.
 """
 
 from __future__ import annotations
@@ -72,8 +70,13 @@ def conversion_efficiency(pulse: PulseSpec) -> float:
 
 
 def squeezing_parameter(pulse: PulseSpec) -> float:
-    """r with cosh(r) = exp(gscript * tau) for a Stokes pulse."""
-    return float(np.arccosh(np.exp(pulse.pulse_area)))
+    """r with cosh(r) = exp(gscript * tau) for a Stokes pulse, if finite."""
+    with np.errstate(over="ignore"):
+        r = float(np.arccosh(np.exp(pulse.pulse_area)))
+    if r < math.inf:
+        return r
+    raise fock._DomainError("pulse_area", pulse.pulse_area,
+                            "small enough that cosh r = exp(area) is finite")
 
 
 def apply_antistokes_swap(state, source_mode: int, field_mode: int,

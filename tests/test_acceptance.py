@@ -175,10 +175,8 @@ def test_criterion_07_channel_equivalence():
 
 def test_criterion_08_langevin_validation():
     ratios = (0.005, 0.02, 0.1)
-    anti = moments.validate_adiabatic(TWO_PI * 500e6,
-                                      MAGNON_PULSE_40NS.pulse_area, ratios)
-    stokes = moments.validate_adiabatic(TWO_PI * 500e6,
-                                        MAGNON_PULSE_30NS.pulse_area, ratios,
+    anti = moments.validate_adiabatic(MAGNON_PULSE_40NS, ratios)
+    stokes = moments.validate_adiabatic(MAGNON_PULSE_30NS, ratios,
                                         process="stokes")
     by_ratio = {row.coupling_ratio: row for row in anti}
     res_closed = 1.0 - by_ratio[0.02].value_closed_form

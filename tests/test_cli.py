@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -662,6 +663,44 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith(f"error: {key} ")
         assert "pulse area 2 G^2 tau / kappa" in lines[0]
         assert lines[0].endswith(f"got {float(value):g}")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    # finite configs that the pulse map cannot take.  A qle rung
+    # G = ratio * kappa whose G^2 underflows (kappa 1e-200 Hz, once a
+    # ZeroDivisionError) or overflows (1e200 Hz, once an OverflowError) has
+    # no finite duration; an entangle area whose cosh r = exp(area)
+    # overflows once named the derived squeezing after a numpy warning.  A
+    # Stokes qle closed form needs r > 0 and a finite sinh^2 r (coupling
+    # 1e-3 Hz, duration 160 us)
+    @pytest.mark.parametrize("command, text, key, rule", [
+        ("qle", "tm_linewidth_over_2pi_hz = 1e-200", "qle_coupling_ratios",
+         "such that G = ratio * kappa keeps the area in a finite duration"),
+        ("qle", "tm_linewidth_over_2pi_hz = 1e200", "qle_coupling_ratios",
+         "such that G = ratio * kappa keeps the area in a finite duration"),
+        ("entangle", "tm_linewidth_over_2pi_hz = 1e-200",
+         "magnon_pulse_coupling_over_2pi_hz",
+         "small enough that cosh r = exp(area) is finite"),
+        ("qle", "qle_process = stokes\n"
+                "magnon_pulse_coupling_over_2pi_hz = 1e-3",
+         "magnon_pulse_coupling_over_2pi_hz",
+         "large enough that cosh r = exp(area) is > 1"),
+        ("qle", "qle_process = stokes\nmagnon_pulse_duration_s = 1.6e-4",
+         "magnon_pulse_coupling_over_2pi_hz",
+         "small enough that sinh^2 r is finite"),
+    ], ids=["qle_rate_underflow", "qle_rate_overflow", "entangle_cosh_overflow",
+            "qle_stokes_r_zero", "qle_stokes_sinh_overflow"])
+    def test_pulse_map_out_of_range_names_a_key(self, tmp_path, capsys,
+                                                command, text, key, rule):
+        path = write_config(tmp_path, text + "\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy warning fails the run
+            assert cli.main([command, path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {key} must be {rule}")
         assert "Traceback" not in captured.err
         assert not out.exists()
 

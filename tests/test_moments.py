@@ -6,13 +6,14 @@ the eigendecomposition of A (elementwise in the eigenbasis, with expm1
 for the stiff small-rate limit).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from magnomech import metrics, moments
+from magnomech import metrics, moments, propagators, protocol
 
 TWO_PI = 2.0 * math.pi
 KAPPA = TWO_PI * 500e6
@@ -20,6 +21,9 @@ KAPPA = TWO_PI * 500e6
 # pulse areas of the default transfer and entangling magnon pulses
 AREA_TRANSFER = 2.0 * (TWO_PI * 10e6) ** 2 * 40e-9 / KAPPA
 AREA_ENTANGLE = 2.0 * (TWO_PI * 10e6) ** 2 * 30e-9 / KAPPA
+# the pulses themselves, as validate_adiabatic takes them
+PULSE_TRANSFER = propagators.PulseSpec(TWO_PI * 10e6, KAPPA, 40e-9)
+PULSE_ENTANGLE = propagators.PulseSpec(TWO_PI * 10e6, KAPPA, 30e-9)
 
 
 def lyapunov_solution(a, d, v0, t):
@@ -271,6 +275,19 @@ class TestIntegrate:
         fine = moments.integrate(init, dd, tau, dt / 2.0)
         assert np.max(np.abs(coarse.cm - fine.cm)) < 1e-6
 
+    def test_default_step_sits_near_exact_propagation(self):
+        # criterion 9's set-up.  RK4 at the default step reads 6.0e-11 from
+        # the exact moments; the error grows as dt^4, so a doubled step
+        # (DT_SAFETY 0.1) reads 9.3e-10 and leaves the 3e-10 band
+        g = 0.1 * KAPPA
+        tau = PULSE_TRANSFER.pulse_area / (2.0 * g * g / KAPPA)
+        dd = moments.build_drift("magnonic_antistokes", cavity_linewidth=KAPPA,
+                                 coupling=g)
+        init = moments.CovarianceState.thermal([0.0, 1.0])
+        rk4 = moments.integrate(init, dd, tau, moments.default_timestep(KAPPA))
+        exact = moments.propagate_static(init, dd, tau)
+        assert abs(rk4.occupation(1) - exact.occupation(1)) < 3e-10
+
     def test_argument_validation(self):
         dd = moments.build_drift("magnonic_antistokes", cavity_linewidth=1.0,
                                  coupling=0.1)
@@ -405,8 +422,7 @@ class TestValidateAdiabatic:
     """Frozen sweep values; the propagation is deterministic."""
 
     def test_antistokes_rows(self):
-        rows = moments.validate_adiabatic(KAPPA, AREA_TRANSFER,
-                                          (0.005, 0.02, 0.1))
+        rows = moments.validate_adiabatic(PULSE_TRANSFER, (0.005, 0.02, 0.1))
         expected = [
             (0.005, 0.181991040929, 0.000808062832202),
             (0.02, 0.179771076027, 0.0129964157285),
@@ -420,8 +436,7 @@ class TestValidateAdiabatic:
             assert row.rel_error == pytest.approx(err, rel=1e-6)
 
     def test_stokes_rows(self):
-        rows = moments.validate_adiabatic(KAPPA, AREA_ENTANGLE,
-                                          (0.005, 0.02, 0.1),
+        rows = moments.validate_adiabatic(PULSE_ENTANGLE, (0.005, 0.02, 0.1),
                                           process="stokes")
         expected = [
             (0.005, 0.162509953657, 0.00153598897973),
@@ -437,7 +452,7 @@ class TestValidateAdiabatic:
 
     def test_error_grows_with_coupling(self):
         for process in ("antistokes", "stokes"):
-            rows = moments.validate_adiabatic(KAPPA, AREA_TRANSFER,
+            rows = moments.validate_adiabatic(PULSE_TRANSFER,
                                               (0.005, 0.02, 0.1),
                                               process=process)
             errs = [row.rel_error for row in rows]
@@ -445,23 +460,108 @@ class TestValidateAdiabatic:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="process"):
-            moments.validate_adiabatic(KAPPA, 0.1, (0.02,), process="raman")
+            moments.validate_adiabatic(PULSE_TRANSFER, (0.02,), process="raman")
+        # a coupling whose square underflows: the area reads 0
+        zero_area = propagators.PulseSpec(1e-170, KAPPA, 40e-9)
         with pytest.raises(ValueError, match="pulse_area"):
-            moments.validate_adiabatic(KAPPA, 0.0, (0.02,))
+            moments.validate_adiabatic(zero_area, (0.02,))
         with pytest.raises(ValueError, match="coupling_ratios"):
-            moments.validate_adiabatic(KAPPA, 0.1, (-0.02,))
+            moments.validate_adiabatic(PULSE_TRANSFER, (-0.02,))
 
     # NaN fails every comparison, so a NaN argument once slipped past a
-    # `<= 0` test: each is now rejected under its own name
+    # `<= 0` test: each is now rejected under its own name.  A pulse area
+    # is NaN only through a NaN field, which PulseSpec names.
     def test_nan_pulse_area_is_named(self):
         with pytest.raises(ValueError,
-                           match="^pulse_area must be finite and > 0, got nan$"):
-            moments.validate_adiabatic(KAPPA, math.nan, (0.1,))
+                           match="^duration must be finite and > 0, got nan$"):
+            moments.validate_adiabatic(
+                propagators.PulseSpec(TWO_PI * 10e6, KAPPA, math.nan), (0.1,))
 
     def test_nan_coupling_ratio_is_named(self):
         with pytest.raises(ValueError, match="^coupling_ratios must be finite "
                                              "and > 0, got nan$"):
-            moments.validate_adiabatic(KAPPA, 0.5, (math.nan,))
+            moments.validate_adiabatic(PULSE_TRANSFER, (math.nan,))
+
+
+def mech_route_error(ratio):
+    """Relative gap between the mechanical pulse's W and the exact
+    ``optomech_red_rwa`` moments at G = ratio * kappa, with no mechanical
+    damping and the duration that keeps the pulse's area."""
+    pulse = protocol.default_transfer_scenario().mech_pulse
+    rung = dataclasses.replace(pulse, coupling=ratio * pulse.cavity_linewidth)
+    rung = dataclasses.replace(rung,
+                               duration=pulse.pulse_area / rung.adiabatic_rate)
+    dd = moments.build_drift("optomech_red_rwa",
+                             cavity_linewidth=pulse.cavity_linewidth,
+                             coupling=rung.coupling)
+    final = moments.propagate_static(moments.CovarianceState.thermal([0.0, 1.0]),
+                                     dd, rung.duration)
+    w = propagators.conversion_efficiency(pulse)
+    return abs(1.0 - final.occupation(1) - w) / w
+
+
+def magnon_route_error(process):
+    """validate_adiabatic's relative error at G/kappa = 1e-3 for the
+    reference transfer (anti-Stokes, 40 ns) or writing (Stokes, 30 ns)
+    magnon pulse."""
+    scenario = protocol.default_transfer_scenario() if process == "antistokes" \
+        else protocol.default_entanglement_scenario()
+    row, = moments.validate_adiabatic(scenario.magnon_pulse, (1e-3,),
+                                      process=process)
+    return row.rel_error
+
+
+# the route bands, stated in TestPulseMapRoute
+MAGNON_ROUTE_BAND = 2e-4
+MECH_ROUTE_BAND = 1e-6
+
+
+# 1% errors in the pulse map the Fock engine reads
+def m10_squeezing(pulse):   # the area taken 1% too large
+    return float(np.arccosh(np.exp(1.01 * pulse.pulse_area)))
+
+
+def m11_conversion(pulse):   # 2.02 for 2 in the exponent
+    return float(-np.expm1(-2.02 * pulse.pulse_area))
+
+
+class TestPulseMapRoute:
+    """The moment route holds the engine's S, W and r in the adiabatic limit.
+
+    Cavity elimination errs by a relative amount that falls as (G/kappa)^2,
+    so at G/kappa = 1e-3 the route resolves errors in the map far below 1%.
+    Bands, fixed before the run from that law: the magnon pulses read
+    8.1e-4 (anti-Stokes) and 1.5e-3 (Stokes) at G/kappa = 0.005, which
+    predicts 3.2e-5 and 6.1e-5 at 1e-3, so 2e-4 holds both; the mechanical
+    pulse reads 7.94e-5 at 0.02 and 1.98e-5 at 0.01, 0.198 (G/kappa)^2,
+    which predicts 2.0e-7 at 1e-3, so 1e-6 holds it.
+    """
+
+    @pytest.mark.parametrize("process", ["antistokes", "stokes"])
+    def test_magnon_map_matches_the_moment_route(self, process):
+        assert magnon_route_error(process) < MAGNON_ROUTE_BAND
+
+    def test_mech_map_matches_the_moment_route(self):
+        assert mech_route_error(1e-3) < MECH_ROUTE_BAND
+
+    def test_mech_error_falls_as_coupling_squared(self):
+        assert 3.6 < mech_route_error(0.02) / mech_route_error(0.01) < 4.4
+
+    # each check fails on a 1% error in the map it reads, so the map is
+    # held by a route comparison and not only by pinned values
+    @pytest.mark.parametrize("attr, mutant, error, band", [
+        ("conversion_efficiency", m11_conversion,
+         lambda: magnon_route_error("antistokes"), MAGNON_ROUTE_BAND),
+        ("conversion_efficiency", m11_conversion,
+         lambda: mech_route_error(1e-3), MECH_ROUTE_BAND),
+        ("squeezing_parameter", m10_squeezing,
+         lambda: magnon_route_error("stokes"), MAGNON_ROUTE_BAND),
+    ], ids=["M11-antistokes", "M11-mech", "M10-stokes"])
+    def test_perturbed_map_fails_the_route(self, monkeypatch, attr, mutant,
+                                           error, band):
+        assert error() < band
+        monkeypatch.setattr(propagators, attr, mutant)
+        assert not error() < band
 
 
 class TestRwaComparison:
@@ -504,6 +604,10 @@ class TestTemporalModeCapture:
             with pytest.raises(ValueError, match=f"^{name} must be finite "
                                                  "and > 0, got 0.0$"):
                 moments.stokes_capture_drift(KAPPA, g, tau)
+        # nor when exp(2 G tau) overflows (once an OverflowError)
+        with pytest.raises(ValueError, match=r"^exp\(2 G tau\) - 1 must be "
+                                             "finite and > 0, got inf$"):
+            moments.stokes_capture_drift(KAPPA, 0.02 * KAPPA, 1e-3)
 
     def test_stokes_output_mode_entanglement(self):
         cs = moments.stokes_temporal_mode_covariance(KAPPA, TWO_PI * 10e6,
