@@ -189,11 +189,14 @@ def integrate(state: CovarianceState, dd: DriftDiffusion, duration: float,
     """Fixed-step RK4 integration of the moment equations over [0, duration].
 
     For time-dependent drifts, which here means the Stokes capture filter;
-    a static one is propagated exactly by :func:`propagate_static`.  Checks the uncertainty relation every
-    ``_CHECK_EVERY`` steps and at the end (disable via
-    check_uncertainty=False for runs carrying a partially accumulated
-    filter mode, which is not canonical mid-pulse).  Raises on unphysical
-    covariances and on a covariance entry beyond ``_NORM_BOUND``.
+    a static one is propagated exactly by :func:`propagate_static`.  The
+    drift and diffusion callables are evaluated once per distinct stage
+    time of a step (t, t + h/2 and t + h), so they must be pure functions
+    of t.  Checks the uncertainty relation every ``_CHECK_EVERY`` steps
+    and at the end (disable via check_uncertainty=False for runs carrying
+    a partially accumulated filter mode, which is not canonical
+    mid-pulse).  Raises on unphysical covariances and, at the first step
+    that makes one, on a covariance entry beyond ``_NORM_BOUND``.
     """
     duration = fock._require("duration", duration)
     dt = fock._require("dt", dt)
@@ -202,23 +205,26 @@ def integrate(state: CovarianceState, dd: DriftDiffusion, duration: float,
     mean = state.mean.copy()
     cm = state.cm.copy()
 
-    def rhs(t, m, v):
-        a = dd.drift_at(t)
-        d = dd.diffusion_at(t)
-        return a @ m, a @ v + v @ a.T + d
+    def rhs(a, d, m, v):
+        av = a @ v   # V is kept exactly symmetric, so V A^T = (A V)^T
+        return a @ m, av + av.T + d
 
     for step in range(n_steps):
         t = step * h
-        k1m, k1v = rhs(t, mean, cm)
-        k2m, k2v = rhs(t + h / 2.0, mean + h / 2.0 * k1m, cm + h / 2.0 * k1v)
-        k3m, k3v = rhs(t + h / 2.0, mean + h / 2.0 * k2m, cm + h / 2.0 * k2v)
-        k4m, k4v = rhs(t + h, mean + h * k3m, cm + h * k3v)
+        mid, end = t + h / 2.0, t + h
+        a_mid, d_mid = dd.drift_at(mid), dd.diffusion_at(mid)
+        k1m, k1v = rhs(dd.drift_at(t), dd.diffusion_at(t), mean, cm)
+        k2m, k2v = rhs(a_mid, d_mid, mean + h / 2.0 * k1m, cm + h / 2.0 * k1v)
+        k3m, k3v = rhs(a_mid, d_mid, mean + h / 2.0 * k2m, cm + h / 2.0 * k2v)
+        k4m, k4v = rhs(dd.drift_at(end), dd.diffusion_at(end),
+                       mean + h * k3m, cm + h * k3v)
         mean = mean + h / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
         cm = cm + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         cm = 0.5 * (cm + cm.T)
         due = (step + 1) % _CHECK_EVERY == 0 or step + 1 == n_steps
-        _check_moments(cm, f"at RK4 step {step + 1}/{n_steps} of {h:.3g} s",
-                       uncertainty=check_uncertainty and due)
+        if due or not _bounded(cm):
+            _check_moments(cm, f"at RK4 step {step + 1}/{n_steps} of {h:.3g} s",
+                           uncertainty=check_uncertainty and due)
     return CovarianceState(mean, cm, check=False)
 
 
@@ -278,7 +284,7 @@ def _expm(m: np.ndarray) -> np.ndarray:
 def _check_moments(cm: np.ndarray, where: str, *,
                    uncertainty: bool = True) -> None:
     """Raise on a non-finite or blown-up covariance, or an unphysical one."""
-    if not np.all(np.isfinite(cm)) or float(np.max(np.abs(cm))) > _NORM_BOUND:
+    if not _bounded(cm):
         raise RuntimeError(f"covariance blew up {where} (an entry not finite "
                            f"or beyond {_NORM_BOUND:.0e})")
     if uncertainty:
@@ -286,6 +292,12 @@ def _check_moments(cm: np.ndarray, where: str, *,
         if w is not None:
             raise RuntimeError(f"unphysical covariance {where}: "
                                f"min eig of V + i*Omega is {w:.3e}")
+
+
+def _bounded(cm: np.ndarray) -> bool:
+    """Every entry finite and within ``_NORM_BOUND``: one reduction, which
+    NaN and inf both fail."""
+    return float(np.abs(cm).max()) <= _NORM_BOUND
 
 
 def default_timestep(*rates: float) -> float:
@@ -328,10 +340,9 @@ def validate_adiabatic(pulse: propagators.PulseSpec,
     except OverflowError:
         raise fock._DomainError("pulse_area", area, "small enough that "
                                 "sinh^2 r is finite") from None
-    if not closed > 0.0:
-        raise fock._DomainError("pulse_area", area, "large enough that " + (
-            "cosh r = exp(area) is > 1" if area
-            else "the pulse area 2 G^2 tau / kappa is > 0"))
+    if not closed > 0.0:   # S and sinh^2 r are > 0 for every area > 0
+        raise fock._DomainError("pulse_area", area, "large enough that the "
+                                "pulse area 2 G^2 tau / kappa is > 0")
     init = CovarianceState.thermal([0.0, float(antistokes)])   # 1 magnon or 0
     rows = []
     for ratio in coupling_ratios:
@@ -414,18 +425,20 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
 
     base = build_drift("magnonic_stokes", cavity_linewidth=kappa,
                        coupling=pulse.coupling, matter_linewidth=matter_linewidth)
+    # the constant entries, once; each call writes only the f(t) entries
+    drift_template, diffusion_template = np.zeros((6, 6)), np.zeros((6, 6))
+    drift_template[:4, :4] = base.drift
+    diffusion_template[:4, :4] = base.diffusion
 
     def drift(t: float) -> np.ndarray:
         f = float(norm * np.exp(gscript * t))
-        a = np.zeros((6, 6))
-        a[:4, :4] = base.drift
+        a = drift_template.copy()
         a[4, 0] = a[5, 1] = f * sq   # dF/dt += f sqrt(kappa) (x_c, p_c)
         return a
 
     def diffusion(t: float) -> np.ndarray:
         f = float(norm * np.exp(gscript * t))
-        d = np.zeros((6, 6))
-        d[:4, :4] = base.diffusion
+        d = diffusion_template.copy()
         d[4, 4] = d[5, 5] = f * f
         d[0, 4] = d[4, 0] = -sq * f
         d[1, 5] = d[5, 1] = -sq * f

@@ -14,6 +14,7 @@ the closed forms and the moment route that checks them
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ import numpy as np
 from . import fock
 
 WEAK_COUPLING_BOUND = 0.05
+# exp(x) is finite exactly for x <= this
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -70,12 +73,15 @@ def conversion_efficiency(pulse: PulseSpec) -> float:
 
 
 def squeezing_parameter(pulse: PulseSpec) -> float:
-    """r with cosh(r) = exp(gscript * tau) for a Stokes pulse, if finite."""
-    with np.errstate(over="ignore"):
-        r = float(np.arccosh(np.exp(pulse.pulse_area)))
-    if r < math.inf:
-        return r
-    raise fock._DomainError("pulse_area", pulse.pulse_area,
+    """r with cosh(r) = exp(gscript * tau) for a Stokes pulse, if finite.
+
+    Written as r = A + log1p(sqrt(1 - exp(-2A))) for the area A, which keeps
+    its relative precision as A -> 0, where arccosh(exp(A)) cancels.
+    """
+    area = pulse.pulse_area
+    if area <= _LOG_FLOAT_MAX:
+        return area + math.log1p(math.sqrt(-math.expm1(-2.0 * area)))
+    raise fock._DomainError("pulse_area", area,
                             "small enough that cosh r = exp(area) is finite")
 
 

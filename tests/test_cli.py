@@ -366,7 +366,7 @@ class TestEntangleCommand:
         assert cli.main(["entangle", path, "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
         assert rows == ["0.393222919812,1,0.612860900431,0.559076732833,30,"
-                        "1.91661624013e-25"]
+                        "1.91663446774e-25"]
         rep, = reports
         assert rep.efficiency == 1.0
         branch, traced, prob = dense_entangle_states(
@@ -390,11 +390,12 @@ class TestEntangleCommand:
     @pytest.mark.parametrize("loss", ["", LOSSY_10KM],
                              ids=["lossless", "lossy_10km"])
     def test_no_squeezing_edge(self, tmp_path, loss):
-        # r = 0: no entanglement, and the leak is the squeeze's roundoff;
-        # the lossy branch reads 2.2e-16, not 0, because the pair keeps
-        # that roundoff off |0, 0> (leak 2.3e-33), so it gets a band
+        # r = 0 (a pulse area that underflows to 0): no entanglement, and
+        # the leak is the squeeze's roundoff; the lossy branch reads
+        # 2.2e-16, not 0, because the pair keeps that roundoff off |0, 0>
+        # (leak 2.3e-33), so it gets a band
         path = write_config(tmp_path,
-                            "magnon_pulse_coupling_over_2pi_hz = 1e-20\n"
+                            "magnon_pulse_coupling_over_2pi_hz = 1e-200\n"
                             + loss)
         out = tmp_path / "e.csv"
         assert cli.main(["entangle", path, "--out", str(out)]) == 0
@@ -494,6 +495,74 @@ def test_zero_matter_loss_runs(tmp_path, capsys, command, key):
         assert read_csv(out)[1:] == read_csv(default)[1:]
 
 
+# the exit contract over every float key at the float extremes, under each
+# command that reads the key: exit 0 with every CSV cell finite, or exit 2
+# with one "error:" line naming a config key, and never an exception or a
+# numpy warning.  validate prints a table instead of a CSV and exits 2 when
+# a check fails; a failed check may read inf (a ratio past the float
+# range), never nan.  The one error line that names no key is transfer's
+# empty vacuum branch, a swap-in so weak that S underflows to 0
+EXTREMES = ("0", "-0.0", "5e-324", "1e-300", "1e-200", "1e-30", "1e30",
+            "1e200", "1e308", "inf", "-1")
+CONTRACT_RUNS = {   # name -> (command, config the key's line is added to)
+    "transfer": ("transfer", ""),
+    "entangle_lossy": ("entangle", LOSSY_10KM),
+    "validate": ("validate", ""),
+    "qle": ("qle", ""),
+    "qle_stokes": ("qle", "qle_process = stokes\n"),
+}
+EMPTY_BRANCH = "error: vacuum branch of fock:1 has zero probability"
+
+
+def contract_breaches(command, code, stdout, stderr, out):
+    """How one run broke the exit contract, as messages (none if it kept it)."""
+    err = stderr.splitlines()
+    if code == 2 and len(err) == 1 and err[0].startswith("error: "):
+        named = any(key in err[0] for key in cli.CONFIG_KEYS)
+        return [] if named or err[0] == EMPTY_BRANCH else [f"no key: {err[0]}"]
+    failed = command == "validate" and stdout.endswith("checks failed\n")
+    if err or code != (2 if failed else 0):
+        return [f"exit {code}, stderr {err}"]
+    if command == "validate":   # check, value, bound, status
+        rows = [ln.split() for ln in stdout.splitlines()[1:-1]]
+        bad = [r for r in rows if "nan" in r[1:3]
+               or (r[3] != "FAIL" and any("inf" in c for c in r[1:3]))]
+    else:
+        bad = [c for ln in read_csv(out)[2] for c in ln.split(",")
+               if c.lower().lstrip("+-") in ("nan", "inf")]
+    return [f"non-finite cells {bad}"] if bad else []
+
+
+@pytest.mark.parametrize("run, key", [
+    (run, key) for run, (command, _) in CONTRACT_RUNS.items()
+    for key in FLOAT_KEYS if command == "qle" or not key.startswith("qle_")])
+def test_exit_contract_at_float_extremes(tmp_path, capsys, run, key):
+    command, base = CONTRACT_RUNS[run]
+    kept = "".join(ln + "\n" for ln in base.splitlines()
+                   if not ln.startswith(key + " "))
+    out = tmp_path / "x.csv"
+    breaches = []
+    for value in EXTREMES:
+        path = write_config(tmp_path, f"{kept}{key} = {value}\n")
+        out.unlink(missing_ok=True)
+        argv = [command, path] + ([] if command == "validate"
+                                  else ["--out", str(out)])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # a numpy warning fails it
+                code = cli.main(argv)
+        except Exception as exc:   # in-process, a traceback is an exception
+            capsys.readouterr()
+            breaches.append(f"{value}: {type(exc).__name__}: {exc}")
+            continue
+        captured = capsys.readouterr()
+        if code != 0 and out.exists():
+            breaches.append(f"{value}: exit {code} left {out.name}")
+        breaches += [f"{value}: {b}" for b in contract_breaches(
+            command, code, captured.out, captured.err, out)]
+    assert not breaches
+
+
 class TestQleCommand:
     def test_single_ratio_antistokes(self, tmp_path):
         path = write_config(tmp_path, "qle_coupling_ratios = 0.02\n")
@@ -520,6 +589,18 @@ class TestQleCommand:
         cells = rows[0].split(",")
         assert float(cells[2]) == pytest.approx(0.162759951148, rel=1e-9)
         assert float(cells[3]) == pytest.approx(0.00153598897973, rel=1e-6)
+
+    # areas 7.5e-22 and 7.5e-16, where arccosh(exp(area)) cancels to r = 0
+    # and to 12% low: sinh^2 r is exp(2 area) - 1 to every printed digit
+    @pytest.mark.parametrize("coupling", ["1e-3", "1"])
+    def test_stokes_closed_form_at_small_area(self, tmp_path, coupling):
+        path = write_config(tmp_path, "qle_process = stokes\n"
+                            f"magnon_pulse_coupling_over_2pi_hz = {coupling}\n")
+        out = tmp_path / "q.csv"
+        assert cli.main(["qle", path, "--out", str(out)]) == 0
+        area = 2.0 * (TWO_PI * float(coupling)) ** 2 * 30e-9 / (TWO_PI * 500e6)
+        for row in read_csv(out)[2]:
+            assert row.split(",")[2] == cli._fmt(math.expm1(2.0 * area))
 
     def test_empty_ratio_list_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "qle_coupling_ratios = ,\n")
@@ -671,8 +752,7 @@ class TestErrorPaths:
     # ZeroDivisionError) or overflows (1e200 Hz, once an OverflowError) has
     # no finite duration; an entangle area whose cosh r = exp(area)
     # overflows once named the derived squeezing after a numpy warning.  A
-    # Stokes qle closed form needs r > 0 and a finite sinh^2 r (coupling
-    # 1e-3 Hz, duration 160 us)
+    # Stokes qle closed form needs a finite sinh^2 r (duration 160 us)
     @pytest.mark.parametrize("command, text, key, rule", [
         ("qle", "tm_linewidth_over_2pi_hz = 1e-200", "qle_coupling_ratios",
          "such that G = ratio * kappa keeps the area in a finite duration"),
@@ -681,15 +761,11 @@ class TestErrorPaths:
         ("entangle", "tm_linewidth_over_2pi_hz = 1e-200",
          "magnon_pulse_coupling_over_2pi_hz",
          "small enough that cosh r = exp(area) is finite"),
-        ("qle", "qle_process = stokes\n"
-                "magnon_pulse_coupling_over_2pi_hz = 1e-3",
-         "magnon_pulse_coupling_over_2pi_hz",
-         "large enough that cosh r = exp(area) is > 1"),
         ("qle", "qle_process = stokes\nmagnon_pulse_duration_s = 1.6e-4",
          "magnon_pulse_coupling_over_2pi_hz",
          "small enough that sinh^2 r is finite"),
     ], ids=["qle_rate_underflow", "qle_rate_overflow", "entangle_cosh_overflow",
-            "qle_stokes_r_zero", "qle_stokes_sinh_overflow"])
+            "qle_stokes_sinh_overflow"])
     def test_pulse_map_out_of_range_names_a_key(self, tmp_path, capsys,
                                                 command, text, key, rule):
         path = write_config(tmp_path, text + "\n")

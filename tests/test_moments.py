@@ -313,6 +313,61 @@ class TestIntegrate:
         with pytest.raises(RuntimeError, match="blew up"):
             moments.integrate(init, dd, 30e-9, moments.default_timestep(KAPPA))
 
+    def test_calls_each_callable_once_per_stage_time(self):
+        # three distinct stage times per step (t, t + h/2, t + h), so three
+        # calls of each callable; constant callables give the static bits
+        static = moments.build_drift("magnonic_antistokes",
+                                     cavity_linewidth=KAPPA, coupling=0.1 * KAPPA)
+        calls = {"drift": 0, "diffusion": 0}
+
+        def counted(name, matrix):
+            def at(t):
+                calls[name] += 1
+                return matrix
+            return at
+
+        dd = moments.DriftDiffusion(counted("drift", static.drift),
+                                    counted("diffusion", static.diffusion))
+        init = moments.CovarianceState(np.array([0.3, -0.1, 0.2, 0.05]),
+                                       np.diag([1.0, 1.0, 3.0, 3.0]))
+        n_steps, dt = 37, moments.default_timestep(KAPPA)
+        out = moments.integrate(init, dd, n_steps * dt, dt)
+        assert calls == {"drift": 3 * n_steps, "diffusion": 3 * n_steps}
+        ref = moments.integrate(init, static, n_steps * dt, dt)
+        np.testing.assert_array_equal(out.cm, ref.cm)
+        np.testing.assert_array_equal(out.mean, ref.mean)
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_blowup_names_the_first_step_past_the_bound(self, check):
+        # A = lam I, D = 0: each RK4 step multiplies V = I by
+        # g = 1 + z + z^2/2 + z^3/6 + z^4/24 with z = 2 lam h, so V passes
+        # the bound first at step k = ceil(log(bound) / log(g)), between
+        # two uncertainty checks
+        lam, h, n_steps = 1.0, 0.01, 2000
+        z = 2.0 * lam * h
+        g = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+        k = math.ceil(math.log(moments._NORM_BOUND) / math.log(g))
+        assert g ** (k - 1) < moments._NORM_BOUND / 1.001   # far from
+        assert g ** k > moments._NORM_BOUND * 1.001          # the bound
+        assert k % moments._CHECK_EVERY and k < n_steps
+        dd = moments.DriftDiffusion(lam * np.eye(2), np.zeros((2, 2)))
+        init = moments.CovarianceState.vacuum(1)
+        with pytest.raises(RuntimeError, match=rf"^covariance blew up at RK4 "
+                                               rf"step {k}/{n_steps} of 0\.01 s"):
+            moments.integrate(init, dd, n_steps * h, h, check_uncertainty=check)
+
+    def test_nan_drift_raises_at_the_first_step_that_reads_it(self):
+        # steps read t, t + h/2 and t + h; NaN from t* = 10.3 h on is first
+        # read at t + h/2 of the step from 10 h, which is step 11
+        h, a = 0.01, -0.5 * np.eye(2)
+        nan = np.full((2, 2), np.nan)
+        dd = moments.DriftDiffusion(lambda t: nan if t >= 10.3 * h else a,
+                                    np.eye(2))
+        init = moments.CovarianceState.vacuum(1)
+        with pytest.raises(RuntimeError, match=r"^covariance blew up at RK4 "
+                                               r"step 11/100 "):
+            moments.integrate(init, dd, 100 * h, h)
+
     def test_uncertainty_violation_raises(self):
         # pure contraction with no diffusion squeezes below vacuum
         dd = moments.DriftDiffusion(-np.eye(2), np.zeros((2, 2)))

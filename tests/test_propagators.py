@@ -1,6 +1,8 @@
 """Pulse conversion efficiency and squeezing against the closed forms."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +86,28 @@ class TestClosedForms:
         # cosh r = exp(area) inverse relation
         assert math.cosh(r) == pytest.approx(
             math.exp(SQUEEZE_PULSE.pulse_area), rel=1e-12)
+
+    @pytest.mark.parametrize("area", [5e-324, 1e-300, 1e-16, 7.5e-16, 1e-8,
+                                      0.0754, 1.0])
+    def test_squeezing_parameter_keeps_precision_at_small_area(self, area):
+        # sinh^2 r = exp(2 area) - 1; arccosh(exp(area)) read r = 0 below
+        # an area of about 1.1e-16 and 12% low at 7.5e-16
+        pulse = propagators.PulseSpec(coupling=1.0, cavity_linewidth=2.0,
+                                      duration=area)   # rate 1: area exact
+        r = propagators.squeezing_parameter(pulse)
+        assert math.sinh(r) ** 2 == pytest.approx(math.expm1(2.0 * area),
+                                                  rel=1e-15, abs=0.0)
+
+    def test_squeezing_parameter_needs_a_finite_exp_area(self):
+        top = math.log(sys.float_info.max)   # exp(top) is the largest float
+        pulse = propagators.PulseSpec(coupling=1.0, cavity_linewidth=2.0,
+                                      duration=top)
+        assert propagators.squeezing_parameter(pulse) == pytest.approx(
+            top + math.log(2.0), rel=1e-15)
+        past = dataclasses.replace(pulse, duration=math.nextafter(top, math.inf))
+        with pytest.raises(ValueError, match=r"^pulse_area must be small enough "
+                           r"that cosh r = exp\(area\) is finite, got 709\."):
+            propagators.squeezing_parameter(past)
 
 
 class TestApply:
