@@ -72,21 +72,16 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return values
 
 
-# config key of each settable field, by scenario part; the TM and cavity
-# linewidth keys set both the node and its pulse, so a pulse follows its node
+# config key of each settable field, by scenario part
 _PART_KEYS = {
     "magnonic": {
         "te_mode_freq": "te_mode_freq_over_2pi_hz",
         "tm_mode_freq": "tm_mode_freq_over_2pi_hz",
         "magnon_freq": "magnon_freq_over_2pi_hz",
-        "te_linewidth": "te_linewidth_over_2pi_hz",
-        "tm_linewidth": "tm_linewidth_over_2pi_hz",
         "magnon_linewidth": "magnon_linewidth_over_2pi_hz",
     },
     "mechanical": {
-        "cavity_freq": "cavity_freq_over_2pi_hz",
         "mech_freq": "mech_freq_over_2pi_hz",
-        "cavity_linewidth": "cavity_linewidth_over_2pi_hz",
         "mech_damping": "mech_damping_over_2pi_hz",
         "drive_detuning": "mech_detuning_over_2pi_hz",
     },

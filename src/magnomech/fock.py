@@ -360,7 +360,7 @@ def apply_phase_rotation(state, mode: int, angle: float):
     """Single-mode phase rotation exp(i*angle*n) on kets or density matrices."""
     dims = state.dims
     occ = np.indices(dims.dims)[_mode(dims, mode)].reshape(-1)
-    ph = np.exp(1j * float(angle) * occ)
+    ph = np.exp(1j * _require("angle", angle, -math.inf) * occ)
     if isinstance(state, FockKet):
         return FockKet(dims, state.amplitudes * ph)
     return FockDensityMatrix(dims, state.matrix * np.outer(ph, ph.conj()))

@@ -397,17 +397,16 @@ def compare_optomech_rwa(*, cavity_linewidth: float, mech_damping: float,
 
 
 def stokes_capture_drift(cavity_linewidth: float, coupling: float,
-                         duration: float, *,
-                         matter_linewidth: float = 0.0) -> DriftDiffusion:
+                         duration: float) -> DriftDiffusion:
     """Stokes QLE cascaded with the growing output temporal-mode filter.
 
-    Modes are (cavity, magnon, capture).  The capture variable accumulates
-    f(t) * a_out(t) with f(t) = N exp(G t) the growing output profile of
-    the pulse, G the rate of the arguments' checked ``PulseSpec`` and
-    N = sqrt(2 G / (exp(2 G tau) - 1)) normalizing it on [0, tau]
-    (Kiilerich & Molmer, PRL 123, 123604 (2019)); exp(2 G tau) - 1 fails
-    by that name when it reads 0 or overflows.  Its commutator builds up to
-    the canonical value only at t = tau; the in-pulse covariance is
+    Modes are (cavity, lossless magnon, capture).  The capture variable
+    accumulates f(t) * a_out(t) with f(t) = N exp(G t) the growing output
+    profile of the pulse, G the rate of the arguments' checked
+    ``PulseSpec`` and N = sqrt(2 G / (exp(2 G tau) - 1)) normalizing it on
+    [0, tau] (Kiilerich & Molmer, PRL 123, 123604 (2019)); exp(2 G tau) - 1
+    fails by that name when it reads 0 or overflows.  Its commutator builds
+    up to the canonical value only at t = tau; the in-pulse covariance is
     therefore not a mode covariance and uncertainty checks must be deferred
     to the end of the pulse.  The filter noise is anti-correlated with the
     cavity input noise (input-output relation a_out = sqrt(kappa) a - a_in),
@@ -424,7 +423,7 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
     sq = math.sqrt(kappa)
 
     base = build_drift("magnonic_stokes", cavity_linewidth=kappa,
-                       coupling=pulse.coupling, matter_linewidth=matter_linewidth)
+                       coupling=pulse.coupling)
     # the constant entries, once; each call writes only the f(t) entries
     drift_template, diffusion_template = np.zeros((6, 6)), np.zeros((6, 6))
     drift_template[:4, :4] = base.drift
@@ -448,18 +447,16 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
 
 
 def stokes_temporal_mode_covariance(cavity_linewidth: float, coupling: float,
-                                    duration: float, *,
-                                    matter_linewidth: float = 0.0) -> CovarianceState:
+                                    duration: float) -> CovarianceState:
     """Joint (magnon, output temporal mode) covariance after a Stokes pulse.
 
     Integrates the cascaded filter system from vacuum at the
-    :func:`default_timestep` of the cavity and matter rates and returns the
+    :func:`default_timestep` of the cavity linewidth and returns the
     two-mode block; in the weak-coupling limit it approaches a two-mode
     squeezed vacuum with cosh r = exp(pulse area).
     """
-    dd = stokes_capture_drift(cavity_linewidth, coupling, duration,
-                              matter_linewidth=matter_linewidth)
-    dt = default_timestep(cavity_linewidth, matter_linewidth)
+    dd = stokes_capture_drift(cavity_linewidth, coupling, duration)
+    dt = default_timestep(cavity_linewidth)
     init = CovarianceState(np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]),
                            check=False)
     final = integrate(init, dd, float(duration), dt, check_uncertainty=False)

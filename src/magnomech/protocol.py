@@ -35,7 +35,7 @@ with no Fock-space machinery; ``closed_form_transfer`` checks every stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,19 +84,18 @@ class MagnonicNodeSpec:
 
     All frequencies and rates are angular (rad/s).  The TE mode is the
     lower optical resonance, the TM mode the upper one; Brillouin
-    scattering between them bridges the magnon frequency.
+    scattering between them bridges the magnon frequency.  The TM mode's
+    linewidth is held once, as the kappa of ``ScenarioConfig.magnon_pulse``.
     """
 
     te_mode_freq: float
     tm_mode_freq: float
     magnon_freq: float
-    te_linewidth: float
-    tm_linewidth: float
     magnon_linewidth: float
 
     def __post_init__(self):
         fock._require_fields(self, "te_mode_freq", "tm_mode_freq",
-                             "magnon_freq", "te_linewidth", "tm_linewidth")
+                             "magnon_freq")
         fock._require_fields(self, "magnon_linewidth", closed=True)
 
     @property
@@ -106,21 +105,20 @@ class MagnonicNodeSpec:
 
 @dataclass(frozen=True)
 class MechanicalNodeSpec:
-    """Optomechanical node: one optical cavity + one mechanical mode.
+    """Optomechanical node: one mechanical mode behind an optical cavity.
 
+    All frequencies and rates are angular (rad/s).  The cavity's linewidth
+    is held once, as the kappa of ``ScenarioConfig.mech_pulse``.
     drive_detuning is the effective cavity-drive detuning; the conversion
     pulse wants it equal to the mechanical frequency (red sideband).
     """
 
-    cavity_freq: float
     mech_freq: float
-    cavity_linewidth: float
     mech_damping: float
     drive_detuning: float
 
     def __post_init__(self):
-        fock._require_fields(self, "cavity_freq", "mech_freq",
-                             "cavity_linewidth")
+        fock._require_fields(self, "mech_freq")
         fock._require_fields(self, "mech_damping", closed=True)
         fock._require_fields(self, "drive_detuning", lo=-math.inf)
 
@@ -192,9 +190,8 @@ class ScenarioConfig:
     magnon_pulse: propagators.PulseSpec
     mech_pulse: propagators.PulseSpec
     fiber: channels.FiberSpec
-    truncation: int = DEFAULT_TRANSFER_TRUNCATION
-    initial_states: tuple[InitialState, ...] = field(
-        default_factory=lambda: (InitialState.fock(1),))
+    truncation: int
+    initial_states: tuple[InitialState, ...]
     include_loss_in_entanglement: bool = False
     phonon_thermal_occupation: float = 0.0
 
@@ -270,7 +267,7 @@ def validate_scenario(scenario: ScenarioConfig) -> list[ValidationCheck]:
             "optomechanical pulse duration per phonon lifetime"),
         _check(
             "sideband_resolved",
-            max(mech.cavity_linewidth, mech.mech_damping,
+            max(scenario.mech_pulse.cavity_linewidth, mech.mech_damping,
                 scenario.mech_pulse.coupling) / mech.mech_freq,
             SIDEBAND_BOUND,
             "fastest optomechanical rate per mechanical frequency"),
@@ -678,43 +675,31 @@ def entanglement_curves(squeezings: Sequence[float],
     return points
 
 
-def default_magnonic_node() -> MagnonicNodeSpec:
-    """Yttrium-iron-garnet sphere numbers used throughout the examples."""
-    return MagnonicNodeSpec(
-        te_mode_freq=TWO_PI * 193.400e12,
-        tm_mode_freq=TWO_PI * 193.407e12,
-        magnon_freq=TWO_PI * 7.0e9,
-        te_linewidth=TWO_PI * 500e6,
-        tm_linewidth=TWO_PI * 500e6,
-        magnon_linewidth=TWO_PI * 1.0e6,
-    )
-
-
-def default_mechanical_node() -> MechanicalNodeSpec:
-    """Gigahertz mechanical resonator in a telecom-band cavity."""
-    mech_freq = TWO_PI * 5.3e9
-    return MechanicalNodeSpec(
-        cavity_freq=TWO_PI * 193.407e12,
-        mech_freq=mech_freq,
-        cavity_linewidth=TWO_PI * 1.3e9,
-        mech_damping=TWO_PI * 4.8e3,
-        drive_detuning=mech_freq,
-    )
-
-
 def _reference_scenario(magnon_pulse_duration: float,
                         **options) -> ScenarioConfig:
-    """Reference nodes and pulses; each pulse sees its node's cavity linewidth."""
-    magnonic = default_magnonic_node()
-    mechanical = default_mechanical_node()
+    """The reference operating point, with the given magnonic pulse duration.
+
+    The magnonic node is a yttrium-iron-garnet sphere whose TM mode
+    (linewidth 2 pi x 500 MHz) carries the magnonic pulse; the mechanical
+    node is a gigahertz resonator in a telecom-band cavity (linewidth
+    2 pi x 1.3 GHz) driven on its red sideband, which carries the
+    conversion pulse.  ``options`` give the fiber and the run options.
+    """
+    mech_freq = TWO_PI * 5.3e9
     return ScenarioConfig(
-        magnonic=magnonic,
-        mechanical=mechanical,
+        magnonic=MagnonicNodeSpec(
+            te_mode_freq=TWO_PI * 193.400e12,
+            tm_mode_freq=TWO_PI * 193.407e12,
+            magnon_freq=TWO_PI * 7.0e9,
+            magnon_linewidth=TWO_PI * 1.0e6),
+        mechanical=MechanicalNodeSpec(
+            mech_freq=mech_freq, mech_damping=TWO_PI * 4.8e3,
+            drive_detuning=mech_freq),
         magnon_pulse=propagators.PulseSpec(
-            coupling=TWO_PI * 10e6, cavity_linewidth=magnonic.tm_linewidth,
+            coupling=TWO_PI * 10e6, cavity_linewidth=TWO_PI * 500e6,
             duration=magnon_pulse_duration),
         mech_pulse=propagators.PulseSpec(
-            coupling=TWO_PI * 50e6, cavity_linewidth=mechanical.cavity_linewidth,
+            coupling=TWO_PI * 50e6, cavity_linewidth=TWO_PI * 1.3e9,
             duration=55e-9),
         **options,
     )

@@ -154,12 +154,14 @@ class TestBuildScenario:
         assert [s.label for s in sc.initial_states] == \
             [s.label for s in ref.initial_states]
 
+    # a node's optical linewidth is held once, as the kappa of the pulse
+    # its cavity carries; an unset detuning follows the mechanical frequency
     def test_pulse_linewidths_and_detuning_follow_the_nodes(self):
         sc = cli.build_scenario({"tm_linewidth_over_2pi_hz": TWO_PI * 400e6,
                                  "cavity_linewidth_over_2pi_hz": TWO_PI * 1e9,
                                  "mech_freq_over_2pi_hz": TWO_PI * 5e9})
-        assert sc.magnon_pulse.cavity_linewidth == sc.magnonic.tm_linewidth
-        assert sc.mech_pulse.cavity_linewidth == sc.mechanical.cavity_linewidth
+        assert sc.magnon_pulse.cavity_linewidth == TWO_PI * 400e6
+        assert sc.mech_pulse.cavity_linewidth == TWO_PI * 1e9
         assert sc.mechanical.drive_detuning == sc.mechanical.mech_freq \
             == TWO_PI * 5e9
 
@@ -294,6 +296,17 @@ class TestEntangleCommand:
         assert any("# warning:" in ln and "closed form" in ln for ln in meta)
         assert float(rows[0].split(",")[3]) == pytest.approx(0.72961397578,
                                                              rel=1e-9)
+
+    @pytest.mark.parametrize("value", ["false", "no", "off", "0"])
+    def test_loss_toggle_off_gives_the_default_body(self, tmp_path, value):
+        path = write_config(tmp_path,
+                            f"include_loss_in_entanglement = {value}\n")
+        out, default = tmp_path / "e.csv", tmp_path / "default.csv"
+        assert cli.main(["entangle", path, "--out", str(out)]) == 0
+        assert cli.main(["entangle", "--out", str(default)]) == 0
+        meta, header, rows = read_csv(out)
+        assert not any(ln.startswith("# warning:") for ln in meta)
+        assert (header, rows) == read_csv(default)[1:]
 
     @pytest.fixture
     def reports(self, monkeypatch):
@@ -620,6 +633,31 @@ class TestErrorPaths:
         path = write_config(tmp_path, "nonsense = 1\n")
         assert cli.main(["transfer", path]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    # no route reads the TE linewidth or the mechanical cavity frequency,
+    # so neither is a key
+    @pytest.mark.parametrize("key", ["te_linewidth_over_2pi_hz",
+                                     "cavity_freq_over_2pi_hz"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, f"{key} = 500e6\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["transfer", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:1: unknown key {key!r}\n"
+        assert not out.exists()
+
+    def test_non_boolean_toggle_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, "include_loss_in_entanglement = maybe\n")
+        assert cli.main(["entangle", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: bad value for 'include_loss_in_entanglement': "
+            "not a boolean: 'maybe'\n")
+
+    def test_empty_initial_states_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, "initial_states = ,\n")
+        assert cli.main(["transfer", path]) == 2
+        assert capsys.readouterr().err == "error: initial_states is empty\n"
 
     @pytest.mark.parametrize("key, value", [
         ("fiber_length_km", "nan"),

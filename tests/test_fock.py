@@ -364,10 +364,20 @@ MODE_ARGUMENTS = {
         _PAIR.density_matrix(), m, 0.5),
 }
 
+# every angle of the library, which need only be finite, called with it
+ANGLE_ARGUMENTS = {
+    "apply_phase_rotation.ket": lambda x: fock.apply_phase_rotation(
+        _PAIR, 0, x),
+    "apply_phase_rotation.matrix": lambda x: fock.apply_phase_rotation(
+        _PAIR.density_matrix(), 0, x),
+    "two_mode_unitary": lambda x: fock.two_mode_unitary(
+        3, 3, "beamsplitter", x),
+}
+
 
 class TestBoundaryChecks:
-    """Each rule has one owner: ``fock._require`` for a [0, 1] argument,
-    ``fock._mode`` for a mode index, whichever module takes it."""
+    """Each rule has one owner: ``fock._require`` for a [0, 1] argument or
+    an angle, ``fock._mode`` for a mode index, whichever module takes it."""
 
     @pytest.mark.parametrize("site", sorted(UNIT_ARGUMENTS))
     def test_unit_interval_argument(self, site):
@@ -379,6 +389,15 @@ class TestBoundaryChecks:
                 call(bad)
             assert exc.value.field == field
             assert str(exc.value) == f"{field} must be in [0, 1], got {bad!r}"
+
+    @pytest.mark.parametrize("site", sorted(ANGLE_ARGUMENTS))
+    def test_finite_angle(self, site):
+        ANGLE_ARGUMENTS[site](-0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(fock._DomainError) as exc:
+                ANGLE_ARGUMENTS[site](bad)
+            assert exc.value.field == "angle"
+            assert str(exc.value) == f"angle must be finite, got {bad!r}"
 
     @pytest.mark.parametrize("site", sorted(MODE_ARGUMENTS))
     def test_mode_index(self, site):

@@ -24,27 +24,25 @@ def transfer_scenario(**kw):
 
 class TestNodeSpecs:
     def test_default_magnonic_bridges_magnon_freq(self):
-        node = protocol.default_magnonic_node()
+        node = transfer_scenario().magnonic
         assert node.mode_splitting == pytest.approx(node.magnon_freq)
 
     def test_positive_rate_enforcement(self):
         with pytest.raises(fock._DomainError,
-                           match="^te_linewidth must be finite and > 0, got 0.0$"):
+                           match="^te_mode_freq must be finite and > 0, got 0.0$"):
             protocol.MagnonicNodeSpec(
-                te_mode_freq=1.0, tm_mode_freq=1.0, magnon_freq=1.0,
-                te_linewidth=0.0, tm_linewidth=1.0, magnon_linewidth=1.0)
+                te_mode_freq=0.0, tm_mode_freq=1.0, magnon_freq=1.0,
+                magnon_linewidth=1.0)
         with pytest.raises(fock._DomainError,
                            match="^mech_damping must be finite and >= 0, got -1.0$"):
             protocol.MechanicalNodeSpec(
-                cavity_freq=1.0, mech_freq=1.0, cavity_linewidth=1.0,
-                mech_damping=-1.0, drive_detuning=1.0)
+                mech_freq=1.0, mech_damping=-1.0, drive_detuning=1.0)
 
     def test_drive_detuning_must_be_finite(self):
         with pytest.raises(fock._DomainError,
                            match="^drive_detuning must be finite, got nan$"):
             protocol.MechanicalNodeSpec(
-                cavity_freq=1.0, mech_freq=1.0, cavity_linewidth=1.0,
-                mech_damping=1.0, drive_detuning=float("nan"))
+                mech_freq=1.0, mech_damping=1.0, drive_detuning=float("nan"))
 
 
 class TestInitialState:

@@ -3,13 +3,18 @@
 A public name is a module-level def, class or assignment whose name does
 not start with an underscore, read from the source with ``ast``.  Adding
 or removing one fails here, so every change to the surface shows in the
-diff of this file.
+diff of this file.  So do the settable values: the fields of each
+scenario spec and the config keys.
 """
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
+
+from magnomech import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "magnomech"
 
@@ -55,11 +60,37 @@ SURFACE = {
         "SQUEEZE_LEAK_BUDGET", "ScenarioConfig", "ScenarioError",
         "TRIPLE_RESONANCE_RTOL", "TWO_PI", "TransferReport",
         "TruncationLeakError", "ValidationCheck", "closed_form_transfer",
-        "default_entanglement_scenario", "default_magnonic_node",
-        "default_mechanical_node", "default_transfer_scenario",
+        "default_entanglement_scenario", "default_transfer_scenario",
         "entanglement_curves", "run_entanglement", "run_transfer",
         "validate_scenario",
     },
+}
+
+# the settable values: the fields of each scenario spec, and the config keys
+FIELDS = {
+    "protocol.MagnonicNodeSpec": (
+        "te_mode_freq", "tm_mode_freq", "magnon_freq", "magnon_linewidth"),
+    "protocol.MechanicalNodeSpec": (
+        "mech_freq", "mech_damping", "drive_detuning"),
+    "propagators.PulseSpec": ("coupling", "cavity_linewidth", "duration"),
+    "channels.FiberSpec": (
+        "length_km", "attenuation_db_per_km", "extra_loss_db"),
+    "protocol.ScenarioConfig": (
+        "magnonic", "mechanical", "magnon_pulse", "mech_pulse", "fiber",
+        "truncation", "initial_states", "include_loss_in_entanglement",
+        "phonon_thermal_occupation"),
+}
+CONFIG_KEYS = {
+    "te_mode_freq_over_2pi_hz", "tm_mode_freq_over_2pi_hz",
+    "magnon_freq_over_2pi_hz", "magnon_linewidth_over_2pi_hz",
+    "tm_linewidth_over_2pi_hz",
+    "mech_freq_over_2pi_hz", "mech_damping_over_2pi_hz",
+    "mech_detuning_over_2pi_hz", "cavity_linewidth_over_2pi_hz",
+    "magnon_pulse_coupling_over_2pi_hz", "magnon_pulse_duration_s",
+    "mech_pulse_coupling_over_2pi_hz", "mech_pulse_duration_s",
+    "fiber_length_km", "fiber_attenuation_db_per_km", "fiber_extra_loss_db",
+    "truncation", "initial_states", "include_loss_in_entanglement",
+    "phonon_thermal_occupation", "qle_process", "qle_coupling_ratios",
 }
 
 
@@ -88,3 +119,14 @@ def test_public_names(module):
     removed = sorted(SURFACE[module] - got)
     assert not (added or removed), \
         f"{module}: names added {added}, names removed {removed}"
+
+
+@pytest.mark.parametrize("spec", sorted(FIELDS))
+def test_spec_fields(spec):
+    module, name = spec.split(".")
+    cls = getattr(importlib.import_module(f"magnomech.{module}"), name)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[spec]
+
+
+def test_config_keys():
+    assert set(cli.CONFIG_KEYS) == CONFIG_KEYS
