@@ -13,7 +13,9 @@ with quadratures x = a + a^dag, p = -i(a - a^dag) and vacuum V = identity.
 Static drifts (constant A and D) are propagated exactly: the moments after
 tau are one matrix exponential of the Kronecker-sum generator, computed by
 scaling and squaring.  The time-dependent capture filter uses fixed-step
-RK4, deterministic for fixed dt.
+RK4, deterministic for fixed dt, on the bordered moment matrix
+Z = [[V, mean], [mean^T, 0]]: with A and D bordered by zeros,
+dZ/dt = A Z + Z A^T + D carries both equations above at once.
 
 Each drift kind is written once as its complex mode equations
 d a/dt = M a + N a^dag and converted to the quadrature drift A; every
@@ -189,43 +191,56 @@ def integrate(state: CovarianceState, dd: DriftDiffusion, duration: float,
     """Fixed-step RK4 integration of the moment equations over [0, duration].
 
     For time-dependent drifts, which here means the Stokes capture filter;
-    a static one is propagated exactly by :func:`propagate_static`.  The
-    drift and diffusion callables are evaluated once per distinct stage
-    time of a step (t, t + h/2 and t + h), so they must be pure functions
-    of t.  Checks the uncertainty relation every ``_CHECK_EVERY`` steps
-    and at the end (disable via check_uncertainty=False for runs carrying
-    a partially accumulated filter mode, which is not canonical
-    mid-pulse).  Raises on unphysical covariances and, at the first step
-    that makes one, on a covariance entry beyond ``_NORM_BOUND``.
+    a static one is propagated exactly by :func:`propagate_static`.  Mean
+    and covariance ride in one bordered matrix Z = [[V, m], [m^T, 0]]:
+    with A and D bordered by zeros, dZ/dt = A Z + Z A^T + D holds dV/dt in
+    its V block and dm/dt = A m in its border.  The diffusion must be
+    symmetric: Z then stays exactly symmetric, so each stage makes one
+    product.  The drift and diffusion callables are evaluated once per
+    distinct stage time of a step (t, t + h/2 and t + h), so they must be
+    pure functions of t.  Checks the uncertainty relation every
+    ``_CHECK_EVERY`` steps and at the end (disable via
+    check_uncertainty=False for runs carrying a partially accumulated
+    filter mode, which is not canonical mid-pulse).  Raises on unphysical
+    covariances and, at the first step that makes one, on a covariance
+    entry beyond ``_NORM_BOUND``; both checks read the V block only, so no
+    size of the mean trips them.
     """
     duration = fock._require("duration", duration)
     dt = fock._require("dt", dt)
     n_steps = max(1, int(math.ceil(duration / dt - 1e-12)))
     h = duration / n_steps
-    mean = state.mean.copy()
-    cm = state.cm.copy()
+    n = state.mean.size
+    z = np.zeros((n + 1, n + 1))
+    cm = z[:n, :n]   # a view: the checks read V in place
+    cm[...] = state.cm
+    z[:n, n] = z[n, :n] = state.mean
+    # bordered A and D at t, t + h/2 and t + h; only their top-left blocks
+    # are ever written, so the borders stay zero
+    drift, diffusion = np.zeros((2, 3, n + 1, n + 1))
+    a_t, a_mid, a_end = drift[:, :n, :n]
+    d_t, d_mid, d_end = diffusion[:, :n, :n]
 
-    def rhs(a, d, m, v):
-        av = a @ v   # V is kept exactly symmetric, so V A^T = (A V)^T
-        return a @ m, av + av.T + d
+    def rhs(a, d, y):
+        ay = a @ y   # Y is exactly symmetric, so Y A^T = (A Y)^T
+        return ay + ay.T + d
 
     for step in range(n_steps):
         t = step * h
         mid, end = t + h / 2.0, t + h
-        a_mid, d_mid = dd.drift_at(mid), dd.diffusion_at(mid)
-        k1m, k1v = rhs(dd.drift_at(t), dd.diffusion_at(t), mean, cm)
-        k2m, k2v = rhs(a_mid, d_mid, mean + h / 2.0 * k1m, cm + h / 2.0 * k1v)
-        k3m, k3v = rhs(a_mid, d_mid, mean + h / 2.0 * k2m, cm + h / 2.0 * k2v)
-        k4m, k4v = rhs(dd.drift_at(end), dd.diffusion_at(end),
-                       mean + h * k3m, cm + h * k3v)
-        mean = mean + h / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        cm = cm + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        cm = 0.5 * (cm + cm.T)
+        a_t[...], d_t[...] = dd.drift_at(t), dd.diffusion_at(t)
+        a_mid[...], d_mid[...] = dd.drift_at(mid), dd.diffusion_at(mid)
+        a_end[...], d_end[...] = dd.drift_at(end), dd.diffusion_at(end)
+        k1 = rhs(drift[0], diffusion[0], z)
+        k2 = rhs(drift[1], diffusion[1], z + h / 2.0 * k1)
+        k3 = rhs(drift[1], diffusion[1], z + h / 2.0 * k2)
+        k4 = rhs(drift[2], diffusion[2], z + h * k3)
+        z += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         due = (step + 1) % _CHECK_EVERY == 0 or step + 1 == n_steps
         if due or not _bounded(cm):
             _check_moments(cm, f"at RK4 step {step + 1}/{n_steps} of {h:.3g} s",
                            uncertainty=check_uncertainty and due)
-    return CovarianceState(mean, cm, check=False)
+    return CovarianceState(z[:n, n], cm, check=False)
 
 
 def propagate_static(state: CovarianceState, dd: DriftDiffusion,
@@ -430,13 +445,13 @@ def stokes_capture_drift(cavity_linewidth: float, coupling: float,
     diffusion_template[:4, :4] = base.diffusion
 
     def drift(t: float) -> np.ndarray:
-        f = float(norm * np.exp(gscript * t))
+        f = norm * math.exp(gscript * t)
         a = drift_template.copy()
         a[4, 0] = a[5, 1] = f * sq   # dF/dt += f sqrt(kappa) (x_c, p_c)
         return a
 
     def diffusion(t: float) -> np.ndarray:
-        f = float(norm * np.exp(gscript * t))
+        f = norm * math.exp(gscript * t)
         d = diffusion_template.copy()
         d[4, 4] = d[5, 5] = f * f
         d[0, 4] = d[4, 0] = -sq * f

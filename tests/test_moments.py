@@ -356,6 +356,30 @@ class TestIntegrate:
                                                rf"step {k}/{n_steps} of 0\.01 s"):
             moments.integrate(init, dd, n_steps * h, h, check_uncertainty=check)
 
+    def test_mean_leaves_the_covariance_bits(self):
+        # the mean rides in the border of one moment matrix; the covariance
+        # block never reads it, so a nonzero mean gives the same bits
+        dd = moments.stokes_capture_drift(KAPPA, 0.02 * KAPPA, 30e-9)
+        cm = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        dt = moments.default_timestep(KAPPA)
+        runs = [moments.integrate(moments.CovarianceState(mean, cm, check=False),
+                                  dd, 3e-9, dt, check_uncertainty=False)
+                for mean in (np.zeros(6), [0.3, -0.1, 0.2, 0.05, 0.0, -0.4])]
+        np.testing.assert_array_equal(runs[0].cm, runs[1].cm)
+        np.testing.assert_array_equal(runs[0].mean, np.zeros(6))
+        assert np.all(runs[1].mean[:4] != [0.3, -0.1, 0.2, 0.05])
+
+    def test_large_mean_does_not_trip_the_blowup_check(self):
+        # the blowup bound is on the covariance block only: a finite mean
+        # past it (here held fixed by A = 0, D = 0) integrates unchanged
+        mean = np.array([1e13, -1e13])
+        assert np.all(np.abs(mean) > moments._NORM_BOUND)
+        dd = moments.DriftDiffusion(np.zeros((2, 2)), np.zeros((2, 2)))
+        out = moments.integrate(moments.CovarianceState(mean, np.eye(2)), dd,
+                                10 * 0.01, 0.01)
+        np.testing.assert_array_equal(out.mean, mean)
+        np.testing.assert_array_equal(out.cm, np.eye(2))
+
     def test_nan_drift_raises_at_the_first_step_that_reads_it(self):
         # steps read t, t + h/2 and t + h; NaN from t* = 10.3 h on is first
         # read at t + h/2 of the step from 10 h, which is step 11
@@ -663,6 +687,30 @@ class TestTemporalModeCapture:
         with pytest.raises(ValueError, match=r"^exp\(2 G tau\) - 1 must be "
                                              "finite and > 0, got inf$"):
             moments.stokes_capture_drift(KAPPA, 0.02 * KAPPA, 1e-3)
+
+    @pytest.mark.parametrize("ratio", [0.02, 0.005])
+    def test_matches_adaptive_integration_of_its_own_drift(self, ratio):
+        # route check: DOP853 at rtol = atol = 1e-12 on the drift and
+        # diffusion of stokes_capture_drift itself, at the pulse area of the
+        # default entangling pulse; the (magnon, capture) block must agree
+        # within 1e-10
+        tol = 1e-10
+        g = ratio * KAPPA
+        tau = AREA_ENTANGLE / (2.0 * g * g / KAPPA)
+        dd = moments.stokes_capture_drift(KAPPA, g, tau)
+
+        def rhs(t, y):
+            v = y.reshape(6, 6)
+            a = dd.drift_at(t)
+            return (a @ v + v @ a.T + dd.diffusion_at(t)).reshape(-1)
+
+        v0 = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        sol = solve_ivp(rhs, (0.0, tau), v0.reshape(-1), method="DOP853",
+                        rtol=1e-12, atol=1e-12)
+        assert sol.success
+        ref = sol.y[:, -1].reshape(6, 6)[2:, 2:]
+        cs = moments.stokes_temporal_mode_covariance(KAPPA, g, tau)
+        assert np.max(np.abs(cs.cm - ref)) < tol
 
     def test_stokes_output_mode_entanglement(self):
         cs = moments.stokes_temporal_mode_covariance(KAPPA, TWO_PI * 10e6,
