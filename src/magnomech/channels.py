@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fock
 
-LOSS_METHODS = ("kraus", "ancilla")
+_LOSS_METHODS = ("kraus", "ancilla")
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def loss_kraus_operators(dim: int, transmittance: float) -> np.ndarray:
 def apply_loss(rho: fock.FockDensityMatrix, mode: int, transmittance: float,
                *, method: str = "kraus") -> fock.FockDensityMatrix:
     """Photon loss of power transmittance T on one mode of a joint state."""
-    if method not in LOSS_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {LOSS_METHODS}")
+    fock._choice("method", method, _LOSS_METHODS)
     dims = rho.dims
     mode = fock._mode(dims, mode)
     t = fock._require("transmittance", transmittance, closed=True, hi=1.0)

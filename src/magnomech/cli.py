@@ -41,11 +41,10 @@ import sys
 
 from . import __version__, fock, moments, protocol
 
-FIG5_SQUEEZINGS = tuple(0.05 * i for i in range(31))   # r = 0 .. 1.5
-FIG5_EFFICIENCIES = (1.0, 0.8, 0.5, 0.2)               # upper to lower curve
+_FIG5_SQUEEZINGS = tuple(0.05 * i for i in range(31))   # r = 0 .. 1.5
+_FIG5_EFFICIENCIES = (1.0, 0.8, 0.5, 0.2)               # upper to lower curve
 
-QLE_PROCESSES = ("antistokes", "stokes")
-DEFAULT_QLE_RATIOS = (0.005, 0.02, 0.1)
+_DEFAULT_QLE_RATIOS = (0.005, 0.02, 0.1)
 
 
 class ConfigError(Exception):
@@ -184,10 +183,11 @@ def parse_state_token(token: str) -> protocol.InitialState:
 
 def _config_error(exc: fock._DomainError, key: str) -> ConfigError:
     """``exc`` named by config ``key``, with the value as configured: in Hz
-    for an ``_over_2pi_hz`` key."""
+    for an ``_over_2pi_hz`` key, quoted for a name."""
     value = exc.value / protocol.TWO_PI if key.endswith("_over_2pi_hz") \
         else exc.value
-    return ConfigError(f"{key} must be {exc.rule}, got {_fmt(value)}")
+    shown = repr(value) if isinstance(value, str) else _fmt(value)
+    return ConfigError(f"{key} must be {exc.rule}, got {shown}")
 
 
 def _area_error(exc: fock._DomainError, pulse) -> ConfigError:
@@ -291,7 +291,7 @@ def _cmd_entangle(args) -> int:
 def _cmd_fig5(args) -> int:
     truncation = args.truncation if args.truncation is not None \
         else protocol.DEFAULT_SQUEEZE_TRUNCATION
-    points = protocol.entanglement_curves(FIG5_SQUEEZINGS, FIG5_EFFICIENCIES,
+    points = protocol.entanglement_curves(_FIG5_SQUEEZINGS, _FIG5_EFFICIENCIES,
                                           truncation=truncation)
     _write(args, None, "r,W,EN_closed,EN_fock",
            [(p.squeezing, p.efficiency, p.en_closed, p.en_fock)
@@ -319,9 +319,6 @@ def _cmd_validate(args) -> int:
 def _cmd_qle(args) -> int:
     cfg, digest = read_config(args.config)
     process = cfg.get("qle_process", "antistokes")
-    if process not in QLE_PROCESSES:
-        raise ConfigError(f"qle_process must be one of {QLE_PROCESSES}, "
-                          f"got {process!r}")
     scenario = build_scenario(cfg, entangling=process == "stokes")
     pulse = scenario.magnon_pulse
     # the closed forms assume lossless matter, the default here
@@ -329,17 +326,21 @@ def _cmd_qle(args) -> int:
         if "magnon_linewidth_over_2pi_hz" in cfg else 0.0
     try:
         rows = moments.validate_adiabatic(
-            pulse, cfg.get("qle_coupling_ratios", DEFAULT_QLE_RATIOS),
+            pulse, cfg.get("qle_coupling_ratios", _DEFAULT_QLE_RATIOS),
             process=process, matter_linewidth=linewidth)
     except fock._DomainError as exc:
-        if exc.field == "pulse_area":   # else a rung's "coupling_ratios"
+        if exc.field == "pulse_area":   # else "process" or "coupling_ratios"
             raise _area_error(exc, pulse) from exc
-        raise _config_error(exc, "qle_coupling_ratios") from exc
+        raise _config_error(exc, "qle_" + exc.field) from exc
     except RuntimeError as exc:
         raise ConfigError(f"qle process {process}: {exc}") from exc
+    warnings = () if linewidth == 0.0 else (
+        "magnon_linewidth_over_2pi_hz > 0: eta_integrated reads the magnon "
+        "occupation, so decay into the magnon's own bath counts as "
+        "conversion, and eta_closed assumes lossless matter",)
     _write(args, digest, "G_over_kappa,eta_integrated,eta_closed,rel_err",
            [(row.coupling_ratio, row.value_integrated, row.value_closed_form,
-             row.rel_error) for row in rows],
+             row.rel_error) for row in rows], warnings=warnings,
            notes=[f"process {process}, pulse area {_fmt(pulse.pulse_area)}"])
     return 0
 

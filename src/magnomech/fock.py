@@ -15,8 +15,9 @@ which it is tridiagonal.  The per-sector eigensystems are cached per
 sector and never form a d_a d_b x d_a d_b matrix on a ket.  An undersized
 basis shows as weight on the top shell, not as lost trace; each pipeline
 measures it on its own state (see :mod:`magnomech.protocol`).  Every
-module imports this one, so it holds the one domain check, :func:`_require`
-(a [0, 1] argument included), and the one mode-index check, :func:`_mode`.
+module imports this one, so it holds the one check of each rule: a domain,
+:func:`_require` (a [0, 1] argument included), a name from a fixed set,
+:func:`_choice`, and a mode index, :func:`_mode`.
 """
 
 from __future__ import annotations
@@ -29,17 +30,17 @@ from typing import Sequence
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-KET_NORM_TOL = 1e-12
+_HERMITICITY_TOL = 1e-10
+_KET_NORM_TOL = 1e-12
 
 GENERATOR_KINDS = ("beamsplitter", "two_mode_squeeze")
 
 
 class _DomainError(ValueError):
-    """A physical ``field`` whose ``value`` breaks its domain ``rule``
-    (``finite and > 0``, say)."""
+    """A ``field`` whose ``value`` breaks its domain ``rule`` (``finite and
+    > 0``, say, or ``one of ('kraus', 'ancilla')``)."""
 
-    def __init__(self, field: str, value: float, rule: str):
+    def __init__(self, field: str, value, rule: str):
         super().__init__(f"{field} must be {rule}, got {value!r}")
         self.field, self.value, self.rule = field, value, rule
 
@@ -65,6 +66,13 @@ def _require_fields(spec, *names: str, lo: float = 0.0,
     for name in names:
         object.__setattr__(spec, name, _require(name, getattr(spec, name), lo,
                                                 closed=closed))
+
+
+def _choice(field: str, value, options: tuple):
+    """``value`` if it is one of ``options``, else :class:`_DomainError`."""
+    if value not in options:
+        raise _DomainError(field, value, f"one of {options}")
+    return value
 
 
 def _mode(dims: "ModeDims", mode) -> int:
@@ -138,8 +146,8 @@ class FockKet:
                 f"joint dimension {dims.size}"
             )
         norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= KET_NORM_TOL:   # NaN fails it too
-            raise ValueError(f"ket norm {norm!r} deviates from 1 beyond {KET_NORM_TOL}")
+        if not abs(norm - 1.0) <= _KET_NORM_TOL:   # NaN fails it too
+            raise ValueError(f"ket norm {norm!r} deviates from 1 beyond {_KET_NORM_TOL}")
         self.dims = dims
         self.amplitudes = _freeze(amps)
 
@@ -176,10 +184,10 @@ class FockDensityMatrix:
             )
         # each bound is written "not (value <= bound)" so that NaN fails it
         herm = _hermiticity_error(m)
-        if not herm <= HERMITICITY_TOL:
+        if not herm <= _HERMITICITY_TOL:
             raise ValueError(f"matrix deviates from Hermitian by {herm:.3e}")
         tr = complex(m.trace())   # plain floats in the messages
-        if not abs(tr.imag) <= HERMITICITY_TOL:
+        if not abs(tr.imag) <= _HERMITICITY_TOL:
             raise ValueError(f"trace has imaginary part {tr.imag:.3e}")
         if not 0.0 < tr.real <= 1.0 + 1e-9:
             raise ValueError(f"trace {tr.real!r} outside (0, 1]")
@@ -275,22 +283,20 @@ def pair_generator_eigensystem(da: int, db: int, kind: str):
     tridiagonal, and ``eigenvectors`` (real orthogonal) diagonalise it.
     """
     sectors = []
-    if kind == "beamsplitter":
+    if _choice("kind", kind, GENERATOR_KINDS) == "beamsplitter":
         # a^dag b |n_a, n_b> = sqrt((n_a + 1) n_b) |n_a + 1, n_b - 1>
         for total in range(da + db - 1):
             na = np.arange(max(0, total - db + 1), min(da, total + 1))
             nb = total - na
             off = np.sqrt((na[:-1] + 1.0) * nb[:-1])
             sectors.append(_tridiagonal_sector(na, nb, off, db))
-    elif kind == "two_mode_squeeze":
+    else:
         # a^dag b^dag |n_a, n_b> = sqrt((n_a + 1)(n_b + 1)) |n_a + 1, n_b + 1>
         for diff in range(-(db - 1), da):
             na = np.arange(max(0, diff), min(da, db + diff))
             nb = na - diff
             off = np.sqrt((na[:-1] + 1.0) * (nb[:-1] + 1.0))
             sectors.append(_tridiagonal_sector(na, nb, off, db))
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
     return tuple(sectors)
 
 

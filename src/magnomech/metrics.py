@@ -34,7 +34,7 @@ from . import fock
 
 # most negative eigenvalue of V + i*Omega accepted as roundoff in a
 # physical covariance matrix V, here and in the moment integration
-PHYSICAL_TOL = 1e-9
+_PHYSICAL_TOL = 1e-9
 # roundoff allowance of the same test, per unit of max |V|
 # (see _uncertainty_violation)
 _ROUNDOFF_TOL = 1e-12
@@ -161,7 +161,7 @@ def _uncertainty_violation(cm: np.ndarray) -> float | None:
     """Min eig of V + i*Omega when the uncertainty relation fails, else None.
 
     The one uncertainty test of every Gaussian route: the relation fails
-    below -(PHYSICAL_TOL + _ROUNDOFF_TOL * max|V|).  eigvalsh is backward
+    below -(_PHYSICAL_TOL + _ROUNDOFF_TOL * max|V|).  eigvalsh is backward
     stable, so near the boundary of physical states the computed
     eigenvalue is off by a small multiple of eps max|V| (eps = 2.2e-16),
     plus the rounding V carries from the steps that made it: 1.8 eps
@@ -169,12 +169,31 @@ def _uncertainty_violation(cm: np.ndarray) -> float | None:
     of the moment propagator, on entries up to 4e11; 2.0e-9 at
     max|V| = 4.4e6 on the exact squeezed vacuum at r = 8.
     _ROUNDOFF_TOL = 1e-12, about 4,500 eps, leaves a wide margin; at
-    max|V| of order 1 it adds a thousandth of ``PHYSICAL_TOL``.
+    max|V| of order 1 it adds a thousandth of ``_PHYSICAL_TOL``.
     """
     omega = symplectic_form(cm.shape[0] // 2)
     w = float(np.linalg.eigvalsh(cm + 1j * omega)[0])
-    bound = PHYSICAL_TOL + _ROUNDOFF_TOL * float(np.max(np.abs(cm)))
+    bound = _PHYSICAL_TOL + _ROUNDOFF_TOL * float(np.max(np.abs(cm)))
     return w if w < -bound else None
+
+
+def _covariance(cm, *, physical: bool = True, where: str = "",
+                error: type[Exception] = ValueError) -> np.ndarray:
+    """The one covariance check: ``cm`` symmetrized once it is square of
+    even size, symmetric to 1e-10 (NaN fails that) and, if ``physical``,
+    passes :func:`_uncertainty_violation`, else ``error`` (at ``where``)."""
+    cm = np.asarray(cm, dtype=float)
+    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
+        raise error(f"covariance shape {cm.shape} is not square of even size")
+    asym = float(np.max(np.abs(cm - cm.T)))
+    if not asym <= 1e-10:   # NaN fails it too
+        raise error(f"covariance matrix asymmetric by {asym:.3e}")
+    cm = 0.5 * (cm + cm.T)
+    w = _uncertainty_violation(cm) if physical else None
+    if w is not None:
+        raise error(f"unphysical covariance{where}: min eig of V + i*Omega "
+                    f"is {w:.3e}")
+    return cm
 
 
 def log_negativity_gaussian(cm: np.ndarray) -> LogNegativity:
@@ -182,21 +201,11 @@ def log_negativity_gaussian(cm: np.ndarray) -> LogNegativity:
 
     ``cm`` is a covariance matrix of two or more modes in (x, p) interleaved
     order, vacuum normalized to the identity; transposition flips the p
-    quadrature of mode 1.  Raises ValueError when the input covariance
-    matrix fails the uncertainty test of :func:`_uncertainty_violation`.
+    quadrature of mode 1.  Raises ValueError if :func:`_covariance` fails.
     """
-    cm = np.asarray(cm, dtype=float)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
-        raise ValueError("covariance matrix must be square of even size")
+    cm = _covariance(cm)
     if cm.shape[0] < 4:
         raise ValueError(f"need at least two modes, got {cm.shape[0] // 2}")
-    asym = float(np.max(np.abs(cm - cm.T)))
-    if not asym <= 1e-10:   # NaN fails it too
-        raise ValueError(f"covariance matrix asymmetric by {asym:.3e}")
-    w = _uncertainty_violation(cm)
-    if w is not None:
-        raise ValueError(f"unphysical covariance matrix: min eig of V + i*Omega "
-                         f"is {w:.3e}")
     flip = np.ones(cm.shape[0])
     flip[3] = -1.0   # p of mode 1
     cm_pt = cm * np.outer(flip, flip)

@@ -40,8 +40,9 @@ import numpy as np
 
 from . import fock, metrics, propagators
 
-DRIFT_KINDS = ("magnonic_antistokes", "magnonic_stokes", "optomech_red_rwa",
-               "optomech_full")
+_DRIFT_KINDS = ("magnonic_antistokes", "magnonic_stokes", "optomech_red_rwa",
+                "optomech_full")
+_PROCESSES = ("antistokes", "stokes")   # validate_adiabatic's magnonic pulses
 
 # resolve the fastest rate in the drift: dt <= DT_SAFETY / max rate
 DT_SAFETY = 0.05
@@ -66,22 +67,12 @@ class CovarianceState:
 
     def __init__(self, mean, cm, *, check: bool = True):
         mean = np.asarray(mean, dtype=float).reshape(-1).copy()
-        cm = np.asarray(cm, dtype=float).copy()
-        if cm.shape != (mean.size, mean.size) or mean.size % 2:
-            raise ValueError("covariance shape must match an even-length mean")
+        if np.shape(cm) != (mean.size, mean.size):
+            raise ValueError("covariance shape must match the mean")
         if not np.all(np.isfinite(mean)):
             raise ValueError(f"mean must be finite, got {mean}")
-        asym = float(np.max(np.abs(cm - cm.T)))
-        if not asym <= 1e-10:   # NaN fails it too
-            raise ValueError(f"covariance asymmetric by {asym:.3e}")
-        cm = 0.5 * (cm + cm.T)
-        if check:
-            w = metrics._uncertainty_violation(cm)
-            if w is not None:
-                raise ValueError(
-                    f"unphysical covariance: min eig of V + i*Omega is {w:.3e}")
         self.mean = mean
-        self.cm = cm
+        self.cm = metrics._covariance(cm, physical=check)
 
     @property
     def n_modes(self) -> int:
@@ -143,8 +134,7 @@ def build_drift(kind: str, *, cavity_linewidth: float, coupling: float,
     lab frame, where its drift is constant, and it keeps the
     counter-rotating terms that ``optomech_red_rwa`` drops.
     """
-    if kind not in DRIFT_KINDS:
-        raise ValueError(f"unknown drift kind {kind!r}; expected one of {DRIFT_KINDS}")
+    fock._choice("kind", kind, _DRIFT_KINDS)
     kappa = fock._require("cavity_linewidth", cavity_linewidth)
     gm = fock._require("matter_linewidth", matter_linewidth, closed=True)
     g = fock._require("coupling", coupling, closed=True)
@@ -303,10 +293,7 @@ def _check_moments(cm: np.ndarray, where: str, *,
         raise RuntimeError(f"covariance blew up {where} (an entry not finite "
                            f"or beyond {_NORM_BOUND:.0e})")
     if uncertainty:
-        w = metrics._uncertainty_violation(cm)
-        if w is not None:
-            raise RuntimeError(f"unphysical covariance {where}: "
-                               f"min eig of V + i*Omega is {w:.3e}")
+        metrics._covariance(cm, where=" " + where, error=RuntimeError)
 
 
 def _bounded(cm: np.ndarray) -> bool:
@@ -345,9 +332,7 @@ def validate_adiabatic(pulse: propagators.PulseSpec,
     closed form of 0 or past the float range fails under ``pulse_area``, a
     rung with no finite duration > 0 under ``coupling_ratios``.
     """
-    if process not in ("antistokes", "stokes"):
-        raise ValueError("process must be 'antistokes' or 'stokes'")
-    antistokes = process == "antistokes"
+    antistokes = fock._choice("process", process, _PROCESSES) == "antistokes"
     area, kappa = pulse.pulse_area, pulse.cavity_linewidth
     try:
         closed = propagators.conversion_efficiency(pulse) if antistokes \

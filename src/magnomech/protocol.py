@@ -45,13 +45,13 @@ from . import channels, fock, metrics, propagators
 TWO_PI = 2.0 * math.pi
 
 # regime bounds used by validate_scenario; failures are warnings, not errors
-TRIPLE_RESONANCE_RTOL = 1e-6
-DETUNING_RTOL = 1e-6
-OPTICAL_HIERARCHY_BOUND = 1e-2   # magnon freq / optical freq
-PULSE_LIFETIME_FRACTION = 0.1    # pulse duration per matter lifetime 2*pi/rate
-SIDEBAND_BOUND = 1.0 / 3.0       # fastest optomech rate per mech frequency
+_TRIPLE_RESONANCE_RTOL = 1e-6
+_DETUNING_RTOL = 1e-6
+_OPTICAL_HIERARCHY_BOUND = 1e-2   # magnon freq / optical freq
+_PULSE_LIFETIME_FRACTION = 0.1    # pulse duration per matter lifetime 2*pi/rate
+_SIDEBAND_BOUND = 1.0 / 3.0       # fastest optomech rate per mech frequency
 
-DEFAULT_TRANSFER_TRUNCATION = 12
+_DEFAULT_TRANSFER_TRUNCATION = 12
 DEFAULT_SQUEEZE_TRUNCATION = 30
 # the one truncation budget, checked on every squeezed pair of the
 # squeezing runs (fig5 and entangle): the sweep spans r up to 1.5 at
@@ -238,12 +238,12 @@ def validate_scenario(scenario: ScenarioConfig) -> list[ValidationCheck]:
         _check(
             "triple_resonance",
             abs(mag.mode_splitting - mag.magnon_freq) / mag.magnon_freq,
-            TRIPLE_RESONANCE_RTOL,
+            _TRIPLE_RESONANCE_RTOL,
             "optical mode splitting off the magnon frequency (relative)"),
         _check(
             "optical_hierarchy",
             mag.magnon_freq / min(mag.te_mode_freq, mag.tm_mode_freq),
-            OPTICAL_HIERARCHY_BOUND,
+            _OPTICAL_HIERARCHY_BOUND,
             "magnon frequency per optical frequency"),
         _check(
             "magnon_weak_coupling",
@@ -258,23 +258,23 @@ def validate_scenario(scenario: ScenarioConfig) -> list[ValidationCheck]:
         _check(
             "magnon_pulse_short",
             scenario.magnon_pulse.duration * mag.magnon_linewidth / TWO_PI,
-            PULSE_LIFETIME_FRACTION,
+            _PULSE_LIFETIME_FRACTION,
             "magnonic pulse duration per magnon lifetime"),
         _check(
             "phonon_pulse_short",
             scenario.mech_pulse.duration * mech.mech_damping / TWO_PI,
-            PULSE_LIFETIME_FRACTION,
+            _PULSE_LIFETIME_FRACTION,
             "optomechanical pulse duration per phonon lifetime"),
         _check(
             "sideband_resolved",
             max(scenario.mech_pulse.cavity_linewidth, mech.mech_damping,
                 scenario.mech_pulse.coupling) / mech.mech_freq,
-            SIDEBAND_BOUND,
+            _SIDEBAND_BOUND,
             "fastest optomechanical rate per mechanical frequency"),
         _check(
             "red_detuning",
             abs(mech.drive_detuning - mech.mech_freq) / mech.mech_freq,
-            DETUNING_RTOL,
+            _DETUNING_RTOL,
             "cavity drive detuning off the mechanical frequency (relative)"),
     ]
 
@@ -706,7 +706,7 @@ def _reference_scenario(magnon_pulse_duration: float,
 
 
 def default_transfer_scenario(*, fiber_length_km: float = 1.0,
-                              truncation: int = DEFAULT_TRANSFER_TRUNCATION,
+                              truncation: int = _DEFAULT_TRANSFER_TRUNCATION,
                               initial_states: Sequence[InitialState] | None = None,
                               ) -> ScenarioConfig:
     """Transfer pipeline at the reference operating point (40 ns swap pulse)."""

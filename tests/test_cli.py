@@ -310,7 +310,8 @@ class TestEntangleCommand:
 
     @pytest.fixture
     def reports(self, monkeypatch):
-        """The EntangleReport of every run_entanglement call, in order."""
+        """The protocol.EntangleReport of every run_entanglement call, in
+        order."""
         reports = []
         run = protocol.run_entanglement
 
@@ -503,9 +504,8 @@ def test_zero_matter_loss_runs(tmp_path, capsys, command, key):
         return
     out, default = tmp_path / "x.csv", tmp_path / "default.csv"
     assert cli.main([command, path, "--out", str(out)]) == 0
-    if command != "qle":   # qle reads the linewidth; 0 is its default
-        assert cli.main([command, "--out", str(default)]) == 0
-        assert read_csv(out)[1:] == read_csv(default)[1:]
+    assert cli.main([command, "--out", str(default)]) == 0
+    assert read_csv(out)[1:] == read_csv(default)[1:]
 
 
 # the exit contract over every float key at the float extremes, under each
@@ -625,7 +625,34 @@ class TestQleCommand:
     def test_unknown_process_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "qle_process = raman\n")
         assert cli.main(["qle", path]) == 2
-        assert "qle_process" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: qle_process must be one of ('antistokes', 'stokes'), "
+            "got 'raman'\n")
+
+    # eta_integrated reads the magnon, so with a magnon linewidth its decay
+    # into the magnon's own bath counts as conversion: one manifest line
+    # warns of it while the rows carry the lossy moments as before; at zero
+    # linewidth the run is the default one, with no warning
+    @pytest.mark.parametrize("process", ["antistokes", "stokes"])
+    def test_matter_loss_warning(self, tmp_path, process):
+        runs = {}
+        for linewidth in (None, "0", "1e6"):
+            text = f"qle_process = {process}\n" + (
+                "" if linewidth is None
+                else f"magnon_linewidth_over_2pi_hz = {linewidth}\n")
+            out = tmp_path / f"q{linewidth}.csv"
+            assert cli.main(["qle", write_config(tmp_path, text),
+                             "--out", str(out)]) == 0
+            runs[linewidth] = read_csv(out)
+        warned = [[ln for ln in meta if ln.startswith("# warning:")]
+                  for meta, _, _ in runs.values()]
+        assert warned[:2] == [[], []]
+        assert len(warned[2]) == 1
+        assert "eta_integrated reads the magnon occupation" in warned[2][0]
+        assert "eta_closed assumes lossless matter" in warned[2][0]
+        assert runs["0"][1:] == runs[None][1:]
+        assert runs["1e6"][1] == runs[None][1]
+        assert runs["1e6"][2] != runs[None][2]
 
 
 class TestErrorPaths:

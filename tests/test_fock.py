@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from magnomech import channels, fock, metrics, propagators, protocol
+from magnomech import channels, fock, metrics, moments, propagators, protocol
 
 
 def rand_density(rng, dims):
@@ -374,10 +374,33 @@ ANGLE_ARGUMENTS = {
         3, 3, "beamsplitter", x),
 }
 
+# every argument that names one of a fixed set of choices, as (field, the
+# choices in order, call with that argument)
+_DRIFT = dict(cavity_linewidth=1.0, coupling=0.1, mech_freq=10.0, detuning=10.0)
+_PULSE = protocol.default_transfer_scenario().magnon_pulse
+CHOICE_ARGUMENTS = {
+    "pair_generator_eigensystem": ("kind", ("beamsplitter", "two_mode_squeeze"),
+                                   lambda k: fock.pair_generator_eigensystem(
+                                       3, 3, k)),
+    "two_mode_unitary": ("kind", ("beamsplitter", "two_mode_squeeze"),
+                         lambda k: fock.two_mode_unitary(3, 3, k, 0.1)),
+    "apply_two_mode_exponential": ("kind", ("beamsplitter", "two_mode_squeeze"),
+                                   lambda k: fock.apply_two_mode_exponential(
+                                       _PAIR, 0, 1, k, 0.1)),
+    "apply_loss": ("method", ("kraus", "ancilla"), lambda m: (
+        channels.apply_loss(_PAIR.density_matrix(), 0, 0.5, method=m))),
+    "build_drift": ("kind", ("magnonic_antistokes", "magnonic_stokes",
+                             "optomech_red_rwa", "optomech_full"),
+                    lambda k: moments.build_drift(k, **_DRIFT)),
+    "validate_adiabatic": ("process", ("antistokes", "stokes"), lambda p: (
+        moments.validate_adiabatic(_PULSE, [0.005], process=p))),
+}
+
 
 class TestBoundaryChecks:
     """Each rule has one owner: ``fock._require`` for a [0, 1] argument or
-    an angle, ``fock._mode`` for a mode index, whichever module takes it."""
+    an angle, ``fock._choice`` for a name from a fixed set, ``fock._mode``
+    for a mode index, whichever module takes it."""
 
     @pytest.mark.parametrize("site", sorted(UNIT_ARGUMENTS))
     def test_unit_interval_argument(self, site):
@@ -398,6 +421,18 @@ class TestBoundaryChecks:
                 ANGLE_ARGUMENTS[site](bad)
             assert exc.value.field == "angle"
             assert str(exc.value) == f"angle must be finite, got {bad!r}"
+
+    @pytest.mark.parametrize("site", sorted(CHOICE_ARGUMENTS))
+    def test_choice_argument(self, site):
+        field, choices, call = CHOICE_ARGUMENTS[site]
+        for good in choices:
+            call(good)
+        for bad in ("bogus", choices[0].upper(), ""):
+            with pytest.raises(fock._DomainError) as exc:
+                call(bad)
+            assert exc.value.field == field
+            assert str(exc.value) == \
+                f"{field} must be one of {choices}, got {bad!r}"
 
     @pytest.mark.parametrize("site", sorted(MODE_ARGUMENTS))
     def test_mode_index(self, site):

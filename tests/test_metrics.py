@@ -341,6 +341,19 @@ class TestGaussianNegativity:
             with pytest.raises(ValueError, match="unphysical"):
                 reject(0.5 * np.eye(4))
 
+    # one covariance check serves both Gaussian routes, message for message
+    @pytest.mark.parametrize("cm", [
+        np.eye(3), np.eye(4) + 1e-6 * np.eye(4, k=1), np.full((4, 4), np.nan),
+        0.5 * np.eye(4)], ids=["odd", "asymmetric", "nan", "unphysical"])
+    def test_one_covariance_check_for_every_route(self, cm):
+        messages = []
+        for call in (metrics.log_negativity_gaussian,
+                     lambda v: moments.CovarianceState(np.zeros(len(v)), v)):
+            with pytest.raises(ValueError) as exc:
+                call(cm)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
     def test_needs_two_modes(self):
         with pytest.raises(ValueError, match="at least two modes"):
             metrics.log_negativity_gaussian(np.eye(2))

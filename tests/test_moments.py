@@ -160,7 +160,9 @@ class TestCovarianceState:
 
 class TestBuildDrift:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown drift kind"):
+        with pytest.raises(ValueError, match=r"^kind must be one of \("
+                                             r"'magnonic_antistokes', .*\), "
+                                             r"got 'bogus'$"):
             moments.build_drift("bogus", cavity_linewidth=1.0, coupling=0.1)
 
     def test_full_model_needs_frequencies(self):

@@ -4,49 +4,50 @@ A public name is a module-level def, class or assignment whose name does
 not start with an underscore, read from the source with ``ast``.  Adding
 or removing one fails here, so every change to the surface shows in the
 diff of this file.  So do the settable values: the fields of each
-scenario spec and the config keys.
+scenario spec and the config keys.  Every public name must also be read
+outside its own module, so that none is public for nothing.
 """
 
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 from magnomech import cli
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "magnomech"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "magnomech"
 
 SURFACE = {
     "channels": {
-        "FiberSpec", "LOSS_METHODS", "apply_loss", "loss_kraus_operators",
-        "transmittance",
+        "FiberSpec", "apply_loss", "loss_kraus_operators", "transmittance",
     },
     "cli": {
-        "CONFIG_KEYS", "ConfigError", "DEFAULT_QLE_RATIOS",
-        "FIG5_EFFICIENCIES", "FIG5_SQUEEZINGS", "QLE_PROCESSES",
-        "build_scenario", "main", "parse_state_token", "read_config",
+        "CONFIG_KEYS", "ConfigError", "build_scenario", "main",
+        "parse_state_token", "read_config",
     },
     "fock": {
-        "FockDensityMatrix", "FockKet", "GENERATOR_KINDS", "HERMITICITY_TOL",
-        "KET_NORM_TOL", "ModeDims", "apply_phase_rotation",
-        "apply_two_mode_exponential", "condition_on_vacuum", "number_ket",
-        "pair_generator_eigensystem", "partial_trace", "partial_transpose",
-        "tensor", "two_mode_unitary", "vacuum",
+        "FockDensityMatrix", "FockKet", "GENERATOR_KINDS", "ModeDims",
+        "apply_phase_rotation", "apply_two_mode_exponential",
+        "condition_on_vacuum", "number_ket", "pair_generator_eigensystem",
+        "partial_trace", "partial_transpose", "tensor", "two_mode_unitary",
+        "vacuum",
     },
     "metrics": {
-        "LogNegativity", "PHYSICAL_TOL", "closed_form_log_negativity",
-        "effective_squeezing", "fidelity_pure_target", "log_negativity_fock",
+        "LogNegativity", "closed_form_log_negativity", "effective_squeezing",
+        "fidelity_pure_target", "log_negativity_fock",
         "log_negativity_gaussian", "log_negativity_pure",
         "log_negativity_sectors", "symplectic_eigenvalues", "symplectic_form",
     },
     "moments": {
-        "AdiabaticRow", "CovarianceState", "DRIFT_KINDS", "DT_SAFETY",
-        "DriftDiffusion", "RwaComparison", "build_drift",
-        "compare_optomech_rwa", "default_timestep", "integrate",
-        "propagate_static", "stokes_capture_drift",
-        "stokes_temporal_mode_covariance", "validate_adiabatic",
+        "AdiabaticRow", "CovarianceState", "DT_SAFETY", "DriftDiffusion",
+        "RwaComparison", "build_drift", "compare_optomech_rwa",
+        "default_timestep", "integrate", "propagate_static",
+        "stokes_capture_drift", "stokes_temporal_mode_covariance",
+        "validate_adiabatic",
     },
     "propagators": {
         "PulseSpec", "WEAK_COUPLING_BOUND", "apply_antistokes_swap",
@@ -54,17 +55,25 @@ SURFACE = {
     },
     "protocol": {
         "ClosedFormTransfer", "CurvePoint", "DEFAULT_SQUEEZE_TRUNCATION",
-        "DEFAULT_TRANSFER_TRUNCATION", "DETUNING_RTOL", "EntangleReport",
-        "InitialState", "MagnonicNodeSpec", "MechanicalNodeSpec",
-        "OPTICAL_HIERARCHY_BOUND", "PULSE_LIFETIME_FRACTION", "SIDEBAND_BOUND",
-        "SQUEEZE_LEAK_BUDGET", "ScenarioConfig", "ScenarioError",
-        "TRIPLE_RESONANCE_RTOL", "TWO_PI", "TransferReport",
-        "TruncationLeakError", "ValidationCheck", "closed_form_transfer",
+        "EntangleReport", "InitialState", "MagnonicNodeSpec",
+        "MechanicalNodeSpec", "SQUEEZE_LEAK_BUDGET", "ScenarioConfig",
+        "ScenarioError", "TWO_PI", "TransferReport", "TruncationLeakError",
+        "ValidationCheck", "closed_form_transfer",
         "default_entanglement_scenario", "default_transfer_scenario",
         "entanglement_curves", "run_entanglement", "run_transfer",
         "validate_scenario",
     },
 }
+
+# where a public name may be read: every tree that uses the package, this
+# file left out, since it names every public name
+READERS = [path for tree in ("src", "tests", "demos", "perfbench")
+           for path in sorted((ROOT / tree).rglob("*.py"))
+           if path.name != "test_surface.py"]
+# returned report types, which callers read by field and never by name
+REPORT_TYPES = {"protocol.TransferReport", "protocol.CurvePoint",
+                "protocol.ValidationCheck", "moments.AdiabaticRow",
+                "moments.RwaComparison"}
 
 # the settable values: the fields of each scenario spec, and the config keys
 FIELDS = {
@@ -119,6 +128,19 @@ def test_public_names(module):
     removed = sorted(SURFACE[module] - got)
     assert not (added or removed), \
         f"{module}: names added {added}, names removed {removed}"
+
+
+@pytest.mark.parametrize("module", sorted(SURFACE))
+def test_public_names_are_read_outside_their_module(module):
+    texts = [path.read_text(encoding="utf-8") for path in READERS
+             if path != SRC / f"{module}.py"]
+    unread = sorted(
+        name for name in SURFACE[module]
+        if f"{module}.{name}" not in REPORT_TYPES and not any(
+            re.search(rf"\b{module}\.{name}\b|"
+                      rf"from magnomech\.{module} import .*\b{name}\b", text)
+            for text in texts))
+    assert not unread, f"{module}: public names no other module reads {unread}"
 
 
 @pytest.mark.parametrize("spec", sorted(FIELDS))
